@@ -1,6 +1,6 @@
 """Bilinear optimal control of a 1-D fractional diffusion equation.
 
-Solvers for the state, adjoint, linearized and second-order systems of the
+Solvers for the state, adjoint and linearized systems of the
 control-multiplies-state tracking problem with box constraints, adjoint
 gradients that are exact for the discrete objective, projected-gradient and
 fixed-point optimizers, and a verification harness for the maximum
@@ -29,9 +29,7 @@ from .fracop import (
     InvalidOrderError,
     assemble_operator,
     assemble_weights,
-    apply_operator,
     normalization_constant,
-    norms,
     quadrature_oracle,
 )
 from .optimize import (
@@ -49,7 +47,6 @@ from .pdesolve import (
     TimeField,
     solve_adjoint,
     solve_linearized,
-    solve_second,
     solve_shifted,
     solve_sourced,
     solve_state,

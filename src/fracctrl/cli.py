@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import cost_from_state, gradient
-from .fracop import Grid
+from .fracop import Grid, l2_norm
 from .optimize import OptimOptions, OptimResult, fixed_point, projected_gradient
 from .pdesolve import (
     ControlField,
@@ -32,7 +32,14 @@ from .pdesolve import (
     solve_state,
 )
 from .problem import ProblemSpec, bump_profile, eigen_profile
-from .verify import SUITES, SuiteConfig, run_all
+from .verify import (
+    SUITES,
+    SuiteConfig,
+    central_difference,
+    random_admissible,
+    run_all,
+    sup_envelope_ratios,
+)
 
 
 class ConfigError(ValueError):
@@ -57,41 +64,32 @@ class ProblemConfig:
 
 
 @dataclass
-class OptimizerConfig:
+class OptimizerConfig(OptimOptions):
+    """The library's optimizer options (sigma0 = None is "auto" in config
+    text) plus the choices only the CLI makes."""
+
     method: str = "pg"  # pg | fp
-    max_iters: int = 200
-    kkt_tol: float = 1e-8
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    sigma0: float | None = None  # "auto" in config text
-    fp_damping: float = 1.0
-    seed: int = 0
     c_user: float = 0.0
-
-
-@dataclass
-class VerifyBlockConfig:
-    seed: int = 0
-    suites: tuple = tuple(SUITES)
-    mp_cases: int = 100
-    estimate_cases: int = 50
-    derivative_cases: int = 20
-    lipschitz_pairs: int = 50
-    vi_samples: int = 100
-    coercivity_samples: int = 64
-    growth_samples: int = 50
-    starts: int = 8
 
 
 @dataclass
 class RunConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    verify: VerifyBlockConfig = field(default_factory=VerifyBlockConfig)
+    verify: SuiteConfig = field(default_factory=SuiteConfig)
 
 
-_SECTIONS = {"problem": ProblemConfig, "optimizer": OptimizerConfig,
-             "verify": VerifyBlockConfig}
+_SECTIONS = {"problem": ProblemConfig, "optimizer": OptimizerConfig, "verify": SuiteConfig}
+# SuiteConfig fields the CLI fills in itself: the problem comes from the
+# problem block, the constant from optimizer.c_user.
+_NOT_KEYS = {"verify": {"spec", "c_user"}}
+
+
+def _keys(section: str) -> list[str]:
+    """Config keys of a section in file order; method leads the optimizer block."""
+    names = [f.name for f in fields(_SECTIONS[section])
+             if f.name not in _NOT_KEYS.get(section, ())]
+    return sorted(names, key=lambda name: name != "method")
 
 
 def _parse_value(section: str, name: str, text: str, lineno: int):
@@ -109,10 +107,7 @@ def _parse_value(section: str, name: str, text: str, lineno: int):
             if unknown:
                 raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
             return names
-        proto = _SECTIONS[section]()
-        current = getattr(proto, name)
-        if isinstance(current, bool):
-            return text.lower() in ("1", "true", "yes")
+        current = getattr(_SECTIONS[section](), name)
         if isinstance(current, int):
             return int(text)
         if isinstance(current, float):
@@ -123,7 +118,7 @@ def _parse_value(section: str, name: str, text: str, lineno: int):
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+    values = {section: {} for section in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,11 +131,14 @@ def parse_config(text: str) -> RunConfig:
         section, name = key.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"line {lineno}: unknown section '{section}' in key '{key}'")
-        block = getattr(cfg, section)
-        if name not in {f.name for f in fields(block)}:
+        if name not in _keys(section):
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        setattr(block, name, _parse_value(section, name, value, lineno))
-    return cfg
+        values[section][name] = _parse_value(section, name, value, lineno)
+    try:
+        return RunConfig(**{section: cls(**values[section])
+                            for section, cls in _SECTIONS.items()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _format_value(value) -> str:
@@ -157,34 +155,56 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for section in ("problem", "optimizer", "verify"):
         block = getattr(cfg, section)
-        for f in fields(block):
-            lines.append(f"{section}.{f.name} = {_format_value(getattr(block, f.name))}")
+        for name in _keys(section):
+            lines.append(f"{section}.{name} = {_format_value(getattr(block, name))}")
     return "\n".join(lines) + "\n"
 
 
 _PROFILE_RE = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
 
 
+def _split_source(text: str, what: str, kinds: tuple) -> tuple[str, str | None]:
+    """'kind(arg)' -> (kind, arg); every kind but zero needs its argument."""
+    m = _PROFILE_RE.match(text.strip())
+    if not m:
+        raise ConfigError(f"malformed {what} '{text}'")
+    kind, arg = m.group(1), m.group(2)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} '{kind}' in '{text}' (use {', '.join(kinds)})")
+    if arg is None and kind != "zero":
+        raise ConfigError(f"{what} '{text}' lacks its argument: {kind}(...)")
+    return kind, arg
+
+
+def _number(text: str, arg: str, cast=float):
+    """Finite numeric argument of a profile or control source."""
+    try:
+        value = cast(arg)
+    except ValueError:
+        raise ConfigError(f"bad argument '{arg}' in '{text}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"argument '{arg}' in '{text}' is not finite")
+    return value
+
+
 def _resolve_profile(text: str, grid: Grid, s: float):
     """Profile -> (samples, declared sup or None).  Supported: zero,
     bump(amplitude), eigen(k), csv(path)."""
-    m = _PROFILE_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"malformed profile '{text}'")
-    kind, arg = m.group(1), m.group(2)
+    kind, arg = _split_source(text, "profile", ("zero", "bump", "eigen", "csv"))
     if kind == "zero":
         return np.zeros(grid.n), 0.0
     if kind == "bump":
-        amp = float(arg)
+        amp = _number(text, arg)
         return bump_profile(grid, amp), abs(amp)
     if kind == "eigen":
-        return eigen_profile(grid, s, int(arg)), None
-    if kind == "csv":
+        return eigen_profile(grid, s, _number(text, arg, int)), None
+    try:
         values = np.loadtxt(arg, ndmin=1)
-        if values.shape != (grid.n,):
-            raise ConfigError(f"profile file '{arg}' has {values.size} values, expected {grid.n}")
-        return values, None
-    raise ConfigError(f"unknown profile '{kind}' in '{text}'")
+    except OSError as exc:
+        raise ConfigError(f"cannot read profile file '{arg}': {exc}") from exc
+    if values.shape != (grid.n,):
+        raise ConfigError(f"profile file '{arg}' has {values.size} values, expected {grid.n}")
+    return values, None
 
 
 def build_spec(pcfg: ProblemConfig) -> ProblemSpec:
@@ -201,26 +221,6 @@ def build_spec(pcfg: ProblemConfig) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def build_options(ocfg: OptimizerConfig) -> OptimOptions:
-    try:
-        return OptimOptions(max_iters=ocfg.max_iters, kkt_tol=ocfg.kkt_tol,
-                            armijo_c1=ocfg.armijo_c1, backtrack=ocfg.backtrack,
-                            sigma0=ocfg.sigma0, fp_damping=ocfg.fp_damping, seed=ocfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_suite_config(cfg: RunConfig, suites=None, seed=None) -> SuiteConfig:
-    v = cfg.verify
-    return SuiteConfig(
-        seed=v.seed if seed is None else seed,
-        mp_cases=v.mp_cases, estimate_cases=v.estimate_cases,
-        derivative_cases=v.derivative_cases, lipschitz_pairs=v.lipschitz_pairs,
-        vi_samples=v.vi_samples, coercivity_samples=v.coercivity_samples,
-        growth_samples=v.growth_samples, starts=v.starts, c_user=cfg.optimizer.c_user,
-        spec=build_spec(cfg.problem), suites=tuple(suites) if suites else v.suites)
-
-
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
@@ -232,22 +232,17 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _parse_control_source(text: str, spec: ProblemSpec) -> ControlField:
-    m = _PROFILE_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"malformed control source '{text}'")
-    kind, arg = m.group(1), m.group(2)
-    if kind == "zero":
-        return constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
-    if kind == "constant":
-        return constant_control(spec.grid, float(arg), spec.vmin, spec.vmax)
+    kind, arg = _split_source(text, "control source", ("zero", "constant", "csv"))
     if kind == "csv":
         return _read_control_csv(arg, spec)
-    raise ConfigError(f"unknown control source '{text}' (use zero, constant(c) or csv(path))")
+    value = 0.0 if kind == "zero" else _number(text, arg)
+    return constant_control(spec.grid, value, spec.vmin, spec.vmax)
 
 
 def _read_control_csv(path: str, spec: ProblemSpec) -> ControlField:
+    """Rows t,x,value in the order export_control_csv writes them; each row's
+    t and x must be its grid point's to within 1e-9 of the spacing."""
     grid = spec.grid
-    values = np.empty((grid.nt, grid.n_omega))
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -260,37 +255,30 @@ def _read_control_csv(path: str, spec: ProblemSpec) -> ControlField:
     if len(rows) != grid.nt * grid.n_omega:
         raise ConfigError(f"control file '{path}' has {len(rows)} rows, "
                           f"expected {grid.nt * grid.n_omega}")
-    for idx, row in enumerate(rows):
-        values[idx // grid.n_omega, idx % grid.n_omega] = float(row[2])
-    return ControlField(values, grid, vmin=spec.vmin, vmax=spec.vmax)
+    try:
+        table = np.array([[float(c) for c in row] for row in rows])
+        table = table.reshape(grid.nt, grid.n_omega, 3)
+        control = ControlField(table[..., 2].copy(), grid, vmin=spec.vmin, vmax=spec.vmax)
+    except ValueError as exc:
+        raise ConfigError(f"control file '{path}' needs finite t,x,value rows: {exc}") from exc
+    off = ((np.abs(table[..., 0] - grid.dt * np.arange(1, grid.nt + 1)[:, None]) > 1e-9 * grid.dt)
+           | (np.abs(table[..., 1] - grid.nodes[grid.omega_mask]) > 1e-9 * grid.dx))
+    if off.any():
+        raise ConfigError(f"control file '{path}' line {2 + int(np.argmax(off))}: "
+                          f"t,x is not the grid point of that row")
+    return control
 
 
 def _write_kv(path: Path, items) -> None:
     with open(path, "w") as fh:
-        for key, value in items:
-            if isinstance(value, float):
-                fh.write(f"{key} = {value:.17g}\n")
-            else:
-                fh.write(f"{key} = {value}\n")
+        fh.writelines(f"{key} = {_format_value(value)}\n" for key, value in items)
 
 
 def _solve_summary(spec: ProblemSpec, v: ControlField, rho) -> list:
-    grid = spec.grid
-    mismatch = rho.final - spec.rho_target
-    track = math.sqrt(grid.dx * float(np.dot(mismatch, mismatch)))
-    sup0 = float(np.max(np.abs(spec.rho0)))
-    sups = np.max(np.abs(rho.values), axis=1)
-    theta = v.theta
-    if sup0 > 0:
-        envelope = (1.0 - grid.dt * theta) ** (-np.arange(grid.nt + 1)) * sup0
-        step_ratio = float(np.max(sups / envelope))
-        growth_ratio = float(sups.max() / (math.exp(theta * grid.T) * sup0))
-    else:
-        step_ratio = 0.0
-        growth_ratio = 0.0
+    step_ratio, growth_ratio = sup_envelope_ratios(rho, v.theta)
     return [
-        ("tracking_error_l2", track),
-        ("state_sup", float(sups.max())),
+        ("tracking_error_l2", l2_norm(spec.grid.dx, rho.final - spec.rho_target)),
+        ("state_sup", rho.linf()),
         ("sup_bound_step_ratio", step_ratio),
         ("sup_bound_growth_ratio", growth_ratio),
         ("cost", cost_from_state(spec, v, rho)),
@@ -298,31 +286,22 @@ def _solve_summary(spec: ProblemSpec, v: ControlField, rho) -> list:
 
 
 def cmd_solve(args) -> int:
+    """solve writes rho.csv, and q.csv with --adjoint; adjoint writes q.csv
+    and adds adjoint_sup to the summary."""
     cfg = _load_config(args.config)
     spec = build_spec(cfg.problem)
     v = _parse_control_source(args.control, spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rho = solve_state(spec, v)
-    export_trajectory_csv(rho, out / "rho.csv")
+    items = _solve_summary(spec, v, rho)
+    if args.command == "solve":
+        export_trajectory_csv(rho, out / "rho.csv")
     if args.adjoint:
         q = solve_adjoint(spec, v, rho.final - spec.rho_target)
         export_trajectory_csv(q, out / "q.csv")
-    _write_kv(out / "summary.txt", _solve_summary(spec, v, rho))
-    return 0
-
-
-def cmd_adjoint(args) -> int:
-    cfg = _load_config(args.config)
-    spec = build_spec(cfg.problem)
-    v = _parse_control_source(args.control, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rho = solve_state(spec, v)
-    q = solve_adjoint(spec, v, rho.final - spec.rho_target)
-    export_trajectory_csv(q, out / "q.csv")
-    items = _solve_summary(spec, v, rho)
-    items.append(("adjoint_sup", q.linf()))
+        if args.command == "adjoint":
+            items.append(("adjoint_sup", q.linf()))
     _write_kv(out / "summary.txt", items)
     return 0
 
@@ -330,7 +309,7 @@ def cmd_adjoint(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
     spec = build_spec(cfg.problem)
-    opts = build_options(cfg.optimizer)
+    opts = cfg.optimizer
     if args.seed is not None:
         opts = replace(opts, seed=args.seed)
     start = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
@@ -347,8 +326,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    suites = [args.suite] if args.suite else None
-    suite_cfg = build_suite_config(cfg, suites=suites, seed=args.seed)
+    suite_cfg = replace(cfg.verify, spec=build_spec(cfg.problem), c_user=cfg.optimizer.c_user,
+                        suites=(args.suite,) if args.suite else cfg.verify.suites,
+                        seed=cfg.verify.seed if args.seed is None else args.seed)
     report = run_all(suite_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,18 +342,11 @@ def cmd_gradcheck(args) -> int:
     cfg = _load_config(args.config)
     spec = build_spec(cfg.problem)
     rng = np.random.default_rng(cfg.optimizer.seed if args.seed is None else args.seed)
-    shape = (spec.grid.nt, spec.grid.n_omega)
-    v = ControlField(rng.uniform(0.7 * spec.vmin, 0.7 * spec.vmax, shape), spec.grid,
-                     vmin=spec.vmin, vmax=spec.vmax)
-    w = ControlField(rng.standard_normal(shape), spec.grid)
-    g, rho, _ = gradient(spec, v)
-    directional = spec.control_dot(g, w.values)
-    eps = 1e-5
-    j_plus = cost_from_state(spec, v.like(v.values + eps * w.values),
-                             solve_state(spec, v.like(v.values + eps * w.values)))
-    j_minus = cost_from_state(spec, v.like(v.values - eps * w.values),
-                              solve_state(spec, v.like(v.values - eps * w.values)))
-    fd = (j_plus - j_minus) / (2 * eps)
+    v = random_admissible(spec, rng, 0.7)
+    w = rng.standard_normal(v.values.shape)
+    g, _, _ = gradient(spec, v)
+    directional = spec.control_dot(g, w)
+    fd = central_difference(spec, v, w, 1e-5)
     rel = abs(directional - fd) / max(abs(directional), 1e-300)
     sys.stdout.write(f"directional = {directional:.17g}\n"
                      f"central_difference = {fd:.17g}\n"
@@ -403,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjoint", help="run the forward then adjoint solver")
     common(p, control=True)
-    p.set_defaults(func=cmd_adjoint)
+    p.set_defaults(func=cmd_solve, adjoint=True)
 
     p = sub.add_parser("optimize", help="minimize the tracking cost over the control box")
     common(p)

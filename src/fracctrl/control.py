@@ -47,14 +47,19 @@ def cost(spec: ProblemSpec, v: ControlField) -> float:
     return cost_from_state(spec, v, solve_state(spec, v))
 
 
-def gradient(spec: ProblemSpec, v: ControlField):
+def gradient(spec: ProblemSpec, v: ControlField, rho: TimeField | None = None,
+             q: TimeField | None = None):
     """Gradient field on the window plus the state and adjoint trajectories.
 
     Returns (g, rho, q) with g = alpha*v + rho*q control-shaped; the identity
     dJ/deps J(v + eps*w) = dx*dt*sum(g*w) is exact for the discrete cost.
+    Trajectories already computed for v may be passed; only the missing
+    solves run.
     """
-    rho = solve_state(spec, v)
-    q = solve_adjoint(spec, v, rho.final - spec.rho_target)
+    if rho is None:
+        rho = solve_state(spec, v)
+    if q is None:
+        q = solve_adjoint(spec, v, rho.final - spec.rho_target)
     g = spec.alpha * v.values + rho.restrict_omega() * q.restrict_omega()
     return g, rho, q
 
@@ -68,10 +73,8 @@ def hessian_bilinear(spec: ProblemSpec, u: ControlField, w: ControlField, d: Con
     Precomputed trajectories may be passed to avoid repeated solves; w is d
     reuses y_w for y_d.
     """
-    if rho is None:
-        rho = solve_state(spec, u)
-    if q is None:
-        q = solve_adjoint(spec, u, rho.final - spec.rho_target)
+    if rho is None or q is None:
+        _, rho, q = gradient(spec, u, rho=rho, q=q)
     if y_w is None:
         y_w = solve_linearized(spec, u, w, rho)
     if y_d is None:
@@ -95,6 +98,13 @@ def fixed_point_target(spec: ProblemSpec, rho: TimeField, q: TimeField) -> Contr
     """clip(-rho*q/alpha): the projection form of the first-order condition."""
     raw = -rho.restrict_omega() * q.restrict_omega() / spec.alpha
     return project(spec, raw)
+
+
+def projection_residual(spec: ProblemSpec, u: ControlField, rho: TimeField,
+                        q: TimeField) -> tuple[float, ControlField]:
+    """||u - clip(-rho*q/alpha)|| in L2(omega_T), and the clipped target."""
+    target = fixed_point_target(spec, rho, q)
+    return spec.control_norm(u.values - target.values), target
 
 
 @dataclass
@@ -139,12 +149,8 @@ class KKTReport:
 
 def kkt_residual(spec: ProblemSpec, u: ControlField,
                  rho: TimeField | None = None, q: TimeField | None = None) -> KKTReport:
-    if rho is None or q is None:
-        g, rho, q = gradient(spec, u)
-    else:
-        g = spec.alpha * u.values + rho.restrict_omega() * q.restrict_omega()
-    target = fixed_point_target(spec, rho, q)
-    residual = spec.control_norm(u.values - target.values)
+    g, rho, q = gradient(spec, u, rho=rho, q=q)
+    residual, _ = projection_residual(spec, u, rho, q)
     tie = TIE_REL * float(np.max(np.abs(g))) if g.size else 0.0
     lower = g > tie
     upper = g < -tie

@@ -13,7 +13,6 @@ for the matrix operator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import gamma, pi, sqrt
 
@@ -188,10 +187,6 @@ def assemble_operator(grid: Grid, s: float) -> FractionalOperator:
     return FractionalOperator(s=s, n=grid.n, dx=grid.dx)
 
 
-def apply_operator(op: FractionalOperator, u: np.ndarray) -> np.ndarray:
-    return op.apply(u)
-
-
 def l2_norm(dx: float, u: np.ndarray) -> float:
     return sqrt(dx * float(np.dot(u, u)))
 
@@ -211,15 +206,6 @@ def vstar_norm(op: FractionalOperator, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     val = op.dx * float(np.dot(f, op.solve(f)))
     return sqrt(max(val, 0.0))
-
-
-def norms(op: FractionalOperator, u: np.ndarray) -> dict:
-    return {
-        "l2": l2_norm(op.dx, u),
-        "linf": linf_norm(u),
-        "v_seminorm": v_seminorm(op, u),
-        "vstar_norm": vstar_norm(op, u),
-    }
 
 
 def quadrature_oracle(u, x: float, s: float, eps: float, support=(-1.0, 1.0), u_xx=None) -> float:
@@ -268,11 +254,3 @@ def quadrature_oracle(u, x: float, s: float, eps: float, support=(-1.0, 1.0), u_
         upp = (float(u(x + h)) - 2.0 * ux + float(u(x - h))) / h**2
     near = -upp * eps ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return cs * (far + near)
-
-
-def export_matrix_csv(op: FractionalOperator, path) -> None:
-    """Dense row-major dump of A for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in op.matrix:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -16,14 +16,17 @@ import numpy as np
 from .control import (
     ConditionReport,
     cost_from_state,
-    fixed_point_target,
     gradient,
     project,
+    projection_residual,
     ssc_smallness,
     uniqueness_condition,
 )
-from .pdesolve import ControlField, SolverError, TimeField, solve_adjoint, solve_state
+from .pdesolve import ControlField, TimeField, solve_state
 from .problem import ProblemSpec
+
+# Armijo trials per iteration before the iterate counts as stalled.
+MAX_BACKTRACKS = 40
 
 
 @dataclass
@@ -33,7 +36,6 @@ class OptimOptions:
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     sigma0: float | None = None  # None -> 1/alpha, the natural quadratic scaling
-    max_backtracks: int = 40
     fp_damping: float = 1.0
     seed: int = 0
 
@@ -91,17 +93,6 @@ class OptimResult:
         return "\n".join(lines) + "\n"
 
 
-def _kkt_from(spec: ProblemSpec, v: ControlField, rho: TimeField, q: TimeField):
-    target = fixed_point_target(spec, rho, q)
-    return spec.control_norm(v.values - target.values), target
-
-
-def _gradient_from_state(spec: ProblemSpec, v: ControlField, rho: TimeField):
-    q = solve_adjoint(spec, v, rho.final - spec.rho_target)
-    g = spec.alpha * v.values + rho.restrict_omega() * q.restrict_omega()
-    return g, rho, q
-
-
 def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> OptimResult:
     """Armijo projected gradient; every iterate admissible, J nonincreasing.
 
@@ -111,7 +102,7 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
     v = project(spec, v0)
     g, rho, q = gradient(spec, v)
     j_cur = cost_from_state(spec, v, rho)
-    res, _ = _kkt_from(spec, v, rho, q)
+    res, _ = projection_residual(spec, v, rho, q)
     j_hist, kkt_hist = [j_cur], [res]
     status = "max_iters"
     iterations = 0
@@ -124,7 +115,7 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
     for it in range(1, opts.max_iters + 1):
         sigma = opts.step0(spec)
         accepted = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = project(spec, v.values - sigma * g)
             predicted = opts.armijo_c1 * spec.control_dot(g, v.values - cand.values)
             rho_c = solve_state(spec, cand)
@@ -142,8 +133,8 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
             status = "stalled"
             break
         v, rho, j_cur = accepted
-        g, _, q = _gradient_from_state(spec, v, rho)
-        res, _ = _kkt_from(spec, v, rho, q)
+        g, _, q = gradient(spec, v, rho=rho)
+        res, _ = projection_residual(spec, v, rho, q)
         j_hist.append(j_cur)
         kkt_hist.append(res)
         iterations = it
@@ -167,11 +158,10 @@ def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> Opti
     status = "max_iters"
     iterations = 0
     rho = q = None
-    blowup = 10.0 * max(abs(spec.vmin), abs(spec.vmax))
     for it in range(opts.max_iters + 1):
         g, rho, q = gradient(spec, v)
         j_hist.append(cost_from_state(spec, v, rho))
-        res, target = _kkt_from(spec, v, rho, q)
+        res, target = projection_residual(spec, v, rho, q)
         kkt_hist.append(res)
         iterations = it
         if not np.isfinite(j_hist[-1]) or not np.all(np.isfinite(g)):
@@ -185,8 +175,6 @@ def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> Opti
         new_vals = (1.0 - opts.fp_damping) * v.values + opts.fp_damping * target.values
         step = spec.control_norm(new_vals - v.values)
         v = ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
-        if v.sup > blowup:  # cannot happen after projection; defensive
-            raise SolverError("fixed-point iterate escaped the admissible box")
         if step < 1e-14:
             status = "stalled"
             iterations = it + 1

@@ -124,9 +124,9 @@ class ControlField:
 
     @property
     def theta(self) -> float:
-        """Box magnitude when a box is attached, otherwise the actual sup."""
+        """Larger of the actual sup and, when a box is attached, the box magnitude."""
         if self.has_box:
-            return max(abs(self.vmin), abs(self.vmax))
+            return max(abs(self.vmin), abs(self.vmax), self.sup)
         return self.sup
 
     def is_admissible(self, tol: float = 0.0) -> bool:
@@ -186,8 +186,7 @@ class StepSolver:
             self._op = spec.operator
             self._dt = dt
             self._shift = shift
-            self._vfull = np.zeros((grid.nt, grid.n))
-            self._vfull[:, grid.omega_mask] = vals
+            self._vfull = v.scatter()
             return
         A = spec.operator.matrix
         base = np.eye(grid.n) + dt * (A + shift * np.eye(grid.n))
@@ -329,30 +328,6 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
     return _march(spec, StepSolver(spec, v), zero, source, None)
 
 
-def solve_second(spec: ProblemSpec, u: ControlField, w: ControlField, d: ControlField,
-                 rho: TimeField | None = None,
-                 y_w: TimeField | None = None,
-                 y_d: TimeField | None = None) -> TimeField:
-    """Second derivative of the forward map along the direction pair (w, d).
-
-    z^0 = 0 and M_n z^n = z^(n-1) + dt * (d^n y_w^n + w^n y_d^n) on the
-    window.  Symmetric in (w, d) by construction.  Precomputed rho / y_w /
-    y_d may be passed to avoid repeated solves.
-    """
-    _check_stability(spec, u)
-    grid = spec.grid
-    if rho is None:
-        rho = solve_state(spec, u)
-    if y_w is None:
-        y_w = solve_linearized(spec, u, w, rho)
-    if y_d is None:
-        y_d = solve_linearized(spec, u, d, rho)
-    source = np.zeros((grid.nt, grid.n))
-    source[:, grid.omega_mask] = d.values * y_w.restrict_omega() + w.values * y_d.restrict_omega()
-    zero = np.zeros(grid.n)
-    return _march(spec, StepSolver(spec, u), zero, source, None)
-
-
 def source_vstar_norm(spec: ProblemSpec, f) -> float:
     """Space-time dual norm of a source: (dt sum_n ||f^n||_V*^2)^(1/2)."""
     arr = _as_source(spec.grid, f)
@@ -361,26 +336,23 @@ def source_vstar_norm(spec: ProblemSpec, f) -> float:
     return float(np.sqrt(spec.grid.dt * total))
 
 
-def export_trajectory_csv(field: TimeField, path) -> None:
-    """One row per (snapshot, node): t,x,value with 17 significant digits."""
-    times = field.times
-    x = field.grid.nodes
+def _write_rows(path, times: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
+    """One t,x,value row per (time, node), 17 significant digits, under a header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "value"])
         for k, t in enumerate(times):
             for i, xi in enumerate(x):
-                writer.writerow([f"{t:.17g}", f"{xi:.17g}", f"{field.values[k, i]:.17g}"])
+                writer.writerow([f"{t:.17g}", f"{xi:.17g}", f"{values[k, i]:.17g}"])
+
+
+def export_trajectory_csv(field: TimeField, path) -> None:
+    """One row per (snapshot, node): t,x,value with 17 significant digits."""
+    _write_rows(path, field.times, field.grid.nodes, field.values)
 
 
 def export_control_csv(field: ControlField, path) -> None:
     """Control trajectory on the window nodes at levels 1..nt, t,x,value rows."""
     grid = field.grid
-    x = grid.nodes[grid.omega_mask]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "value"])
-        for k in range(grid.nt):
-            t = grid.dt * (k + 1)
-            for i, xi in enumerate(x):
-                writer.writerow([f"{t:.17g}", f"{xi:.17g}", f"{field.values[k, i]:.17g}"])
+    _write_rows(path, grid.dt * np.arange(1, grid.nt + 1), grid.nodes[grid.omega_mask],
+                field.values)

@@ -26,7 +26,7 @@ class ProblemSpec:
     vmin/vmax are the box bounds on the control (vmax > vmin); rho0 and
     rho_target are values at the interior nodes.  rho0_sup/target_sup may
     declare the analytic sup-norms of the underlying profiles; they default
-    to the sampled max.  Only 1-D domains are supported (ndim == 1).
+    to the sampled max.
     """
 
     grid: Grid
@@ -36,14 +36,11 @@ class ProblemSpec:
     vmax: float
     rho0: np.ndarray
     rho_target: np.ndarray
-    ndim: int = 1
     rho0_sup: float | None = None
     target_sup: float | None = None
     _op: FractionalOperator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ndim != 1:
-            raise ValueError(f"only 1-D domains are supported, got ndim={self.ndim}")
         if not self.alpha > 0:
             raise ValueError(f"regularization weight must be positive, got alpha={self.alpha}")
         if not self.vmax > self.vmin:
@@ -70,10 +67,6 @@ class ProblemSpec:
         if self._op is None:
             self._op = assemble_operator(self.grid, self.s)
         return self._op
-
-    def space_dot(self, u, v) -> float:
-        """Discrete L2(domain) inner product."""
-        return self.grid.dx * float(np.dot(u, v))
 
     def control_dot(self, a, b) -> float:
         """Discrete L2(omega x (0,T)) inner product of control-shaped arrays."""

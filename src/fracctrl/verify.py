@@ -38,6 +38,7 @@ from .fracop import (
 from .optimize import OptimOptions, fixed_point, multistart_uniqueness, projected_gradient
 from .pdesolve import (
     ControlField,
+    TimeField,
     constant_control,
     solve_adjoint,
     solve_linearized,
@@ -155,9 +156,40 @@ def _estimate_instance(n=64, nt=256) -> ProblemSpec:
                        rho0=np.zeros(n), rho_target=np.zeros(n))
 
 
-def _random_admissible(spec: ProblemSpec, rng) -> ControlField:
-    vals = rng.uniform(spec.vmin, spec.vmax, size=(spec.grid.nt, spec.grid.n_omega))
+def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlField:
+    """Uniform random control on the box shrunk by scale, carrying the full box."""
+    vals = rng.uniform(scale * spec.vmin, scale * spec.vmax,
+                       size=(spec.grid.nt, spec.grid.n_omega))
     return ControlField(vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
+
+
+def _cost_at(spec: ProblemSpec, v: ControlField, values: np.ndarray) -> float:
+    """Discrete cost of the control with v's box and the given values."""
+    fld = v.like(values)
+    return cost_from_state(spec, fld, solve_state(spec, fld))
+
+
+def central_difference(spec: ProblemSpec, v: ControlField, w: np.ndarray, eps: float) -> float:
+    """Directional derivative of the cost at v along w by central differences."""
+    plus = _cost_at(spec, v, v.values + eps * w)
+    minus = _cost_at(spec, v, v.values - eps * w)
+    return (plus - minus) / (2 * eps)
+
+
+def sup_envelope_ratios(rho: TimeField, theta: float) -> tuple[float, float]:
+    """Worst ratio of sup|rho^n| to the per-step envelope (1 - dt*theta)^(-n) sup|rho0|,
+    and of max_n sup|rho^n| to the growth envelope exp(theta T) sup|rho0|.
+
+    Both are 0 when rho0 vanishes, since the state then stays zero.
+    """
+    grid = rho.grid
+    sups = np.max(np.abs(rho.values), axis=1)
+    sup0 = float(sups[0])
+    if sup0 == 0.0:
+        return 0.0, 0.0
+    bounds = (1.0 - grid.dt * theta) ** (-np.arange(grid.nt + 1)) * sup0
+    growth = float(sups.max()) / (math.exp(theta * grid.T) * sup0)
+    return float(np.max(sups / bounds)), growth
 
 
 def run_operator_suite() -> VerifyReport:
@@ -276,15 +308,13 @@ def run_maximum_principle_suite(seed: int = 0, n_cases: int = 100,
             vals[1::2] = spec.vmin
             v = ControlField(vals, spec.grid, spec.vmin, spec.vmax)
         else:
-            v = _random_admissible(spec, rng)
+            v = random_admissible(spec, rng)
         rho = solve_state(spec, v)
         sup0 = float(np.max(np.abs(rho0)))
         worst_min = min(worst_min, float(rho.values.min()) / sup0)
-        sups = np.max(np.abs(rho.values), axis=1)
-        bounds = (1.0 - spec.grid.dt * v.theta) ** (-np.arange(spec.grid.nt + 1)) * sup0
-        worst_step = max(worst_step, float(np.max(sups / bounds)))
-        worst_growth = max(worst_growth, float(sups.max())
-                           / (math.exp(v.theta * spec.grid.T) * sup0))
+        step, growth = sup_envelope_ratios(rho, v.theta)
+        worst_step = max(worst_step, step)
+        worst_growth = max(worst_growth, growth)
     report.add("state-nonnegativity", worst_min >= -1e-12, worst_min, -1e-12,
                detail=f"{n_cases} cases incl. alternating-corner control; value is min rho / sup|rho0|")
     report.add("state-sup-bound", worst_step <= 1.0 + 1e-12, worst_step, 1.0 + 1e-12,
@@ -310,7 +340,7 @@ def run_estimate_suite(seed: int = 0, n_cases: int = 50) -> VerifyReport:
         target = 0.5 * rng.standard_normal(grid.n)
         spec = ProblemSpec(grid=grid, s=base.s, alpha=base.alpha, vmin=base.vmin,
                            vmax=base.vmax, rho0=rho0, rho_target=target)
-        v = _random_admissible(spec, rng)
+        v = random_admissible(spec, rng)
         f = rng.standard_normal((grid.nt, grid.n))
         data = source_vstar_norm(spec, f) ** 2 + l2_norm(grid.dx, rho0) ** 2
 
@@ -369,17 +399,13 @@ def run_derivative_suite(seed: int = 0, n_cases: int = 20) -> VerifyReport:
     spec0 = ProblemSpec(grid=spec0.grid, s=spec0.s, alpha=spec0.alpha, vmin=spec0.vmin,
                         vmax=spec0.vmax, rho0=np.zeros(spec0.grid.n),
                         rho_target=spec0.rho_target)
-    v0 = _random_admissible(spec0, rng)
+    v0 = random_admissible(spec0, rng)
     w0 = ControlField(rng.standard_normal(v0.values.shape), spec0.grid)
     g0, _, _ = gradient(spec0, v0)
     d0 = spec0.control_dot(g0, w0.values)
     # the cost is exactly quadratic here, so the central difference carries no
     # truncation term at any step; a large step avoids cancellation noise
-    eps = 1e-2
-    fd0 = (cost_from_state(spec0, v0.like(v0.values + eps * w0.values),
-                           solve_state(spec0, v0.like(v0.values + eps * w0.values)))
-           - cost_from_state(spec0, v0.like(v0.values - eps * w0.values),
-                             solve_state(spec0, v0.like(v0.values - eps * w0.values)))) / (2 * eps)
+    fd0 = central_difference(spec0, v0, w0.values, 1e-2)
     conv_err = abs(d0 - fd0) / abs(d0)
     exact_err = float(np.max(np.abs(g0 - spec0.alpha * v0.values)))
     report.add("derivative-convex-exact", exact_err == 0.0 and conv_err <= 1e-10,
@@ -387,21 +413,13 @@ def run_derivative_suite(seed: int = 0, n_cases: int = 20) -> VerifyReport:
 
     for case in range(n_cases):
         spec = _derivative_instance(rng)
-        v = ControlField(rng.uniform(0.7 * spec.vmin, 0.7 * spec.vmax,
-                                     size=(spec.grid.nt, spec.grid.n_omega)),
-                         spec.grid, spec.vmin, spec.vmax)
+        v = random_admissible(spec, rng, 0.7)
         w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
         d = ControlField(rng.standard_normal(v.values.shape), spec.grid)
 
         g, rho, q = gradient(spec, v)
         directional = spec.control_dot(g, w.values)
-
-        def j_at(vals):
-            fld = v.like(vals)
-            return cost_from_state(spec, fld, solve_state(spec, fld))
-
-        eps = 1e-5
-        fd = (j_at(v.values + eps * w.values) - j_at(v.values - eps * w.values)) / (2 * eps)
+        fd = central_difference(spec, v, w.values, 1e-5)
         worst_fd = max(worst_fd, abs(directional - fd) / abs(directional))
 
         y = solve_linearized(spec, v, w, rho)
@@ -415,23 +433,22 @@ def run_derivative_suite(seed: int = 0, n_cases: int = 20) -> VerifyReport:
 
         h_ww = hessian_bilinear(spec, v, w, w, rho=rho, q=q)
         eps2 = 1e-3
-        sd = (j_at(v.values + eps2 * w.values) - 2 * j_at(v.values)
-              + j_at(v.values - eps2 * w.values)) / eps2**2
+        sd = (_cost_at(spec, v, v.values + eps2 * w.values) - 2 * _cost_at(spec, v, v.values)
+              + _cost_at(spec, v, v.values - eps2 * w.values)) / eps2**2
         worst_hfd = max(worst_hfd, abs(h_ww - sd) / abs(h_ww))
 
         eps_grid = np.array([1e-2, 1e-3, 1e-4])
         errs = []
         for e in eps_grid:
             pert = solve_state(spec, v.like(v.values + e * w.values))
-            diff = (pert.values - rho.values) / e - y.values
-            errs.append(math.sqrt(spec.grid.dx * spec.grid.dt * float(np.sum(diff[1:] ** 2))))
+            errs.append(TimeField((pert.values - rho.values) / e - y.values, spec.grid).st_l2())
         slope = float(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0])
         worst_slope = max(worst_slope, abs(slope - 1.0))
 
         if case < 3:
             sweep = []
             for e in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-                fd_e = (j_at(v.values + e * w.values) - j_at(v.values - e * w.values)) / (2 * e)
+                fd_e = central_difference(spec, v, w.values, e)
                 sweep.append(abs(fd_e - directional) / abs(directional))
             vshape_min = min(vshape_min, min(sweep))
 
@@ -457,15 +474,11 @@ def _lipschitz_ratios(spec: ProblemSpec, pairs) -> tuple[float, float]:
         dv = spec.control_norm(v1 - v2)
         rho1 = solve_state(spec, c1)
         rho2 = solve_state(spec, c2)
-        diff = rho1.values - rho2.values
-        num = math.sqrt(spec.grid.dt
-                        * sum(v_seminorm(op, row) ** 2 for row in diff[1:]))
+        num = TimeField(rho1.values - rho2.values, spec.grid).st_v(op)
         state_ratio = max(state_ratio, num / dv)
         q1 = solve_adjoint(spec, c1, rho1.final - spec.rho_target)
         q2 = solve_adjoint(spec, c2, rho2.final - spec.rho_target)
-        qdiff = q1.values - q2.values
-        qnum = math.sqrt(spec.grid.dt
-                         * sum(v_seminorm(op, row) ** 2 for row in qdiff[1:]))
+        qnum = TimeField(q1.values - q2.values, spec.grid).st_v(op)
         adj_ratio = max(adj_ratio, qnum / dv)
     return state_ratio, adj_ratio
 
@@ -661,6 +674,7 @@ class SuiteConfig:
     """Case counts and seed for the full harness run."""
 
     seed: int = 0
+    suites: tuple = tuple(SUITES)
     mp_cases: int = 100
     estimate_cases: int = 50
     derivative_cases: int = 20
@@ -671,7 +685,6 @@ class SuiteConfig:
     starts: int = 8
     c_user: float = 0.0
     spec: ProblemSpec | None = None
-    suites: tuple = tuple(SUITES)
 
 
 def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:

@@ -12,6 +12,7 @@ from fracctrl.cli import (
     serialize_config,
 )
 from fracctrl.fracop import assemble_operator
+from fracctrl.pdesolve import constant_control, export_control_csv
 
 TINY = """
 problem.n = 31
@@ -25,6 +26,42 @@ verify.vi_samples = 10
 verify.coercivity_samples = 4
 verify.growth_samples = 4
 verify.starts = 2
+"""
+
+
+DEFAULT_CONFIG_TEXT = """\
+problem.a = -1
+problem.b = 1
+problem.n = 127
+problem.s = 0.5
+problem.T = 0.5
+problem.nt = 200
+problem.omega_a = -0.5
+problem.omega_b = 0.5
+problem.alpha = 1
+problem.m = -1
+problem.M = 1
+problem.rho0 = bump(0.1)
+problem.rhod = bump(0.05)
+optimizer.method = pg
+optimizer.max_iters = 200
+optimizer.kkt_tol = 1e-08
+optimizer.armijo_c1 = 0.0001
+optimizer.backtrack = 0.5
+optimizer.sigma0 = auto
+optimizer.fp_damping = 1
+optimizer.seed = 0
+optimizer.c_user = 0
+verify.seed = 0
+verify.suites = operator,maximum-principle,estimates,derivatives,lipschitz,optimality
+verify.mp_cases = 100
+verify.estimate_cases = 50
+verify.derivative_cases = 20
+verify.lipschitz_pairs = 50
+verify.vi_samples = 100
+verify.coercivity_samples = 64
+verify.growth_samples = 50
+verify.starts = 8
 """
 
 
@@ -90,6 +127,20 @@ class TestConfigParsing:
         cfg = parse_config("problem.rho0 = blobby(1)\n")
         with pytest.raises(ConfigError, match="blobby"):
             build_spec(cfg.problem)
+
+    def test_default_text_pinned(self):
+        # every key, its order and its default; the blocks reuse the library's
+        # dataclasses, so a field added there must not leak into the config
+        assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
+
+    def test_invalid_optimizer_value_rejected_when_parsed(self):
+        with pytest.raises(ConfigError, match="backtrack"):
+            parse_config("optimizer.backtrack = 2\n")
+
+    def test_cli_filled_suite_fields_are_not_keys(self):
+        for key in ("verify.spec", "verify.c_user", "optimizer.max_backtracks"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(f"{key} = 1\n")
 
 
 class TestCommands:
@@ -217,3 +268,53 @@ class TestCommands:
             outs.append((out / "report.txt").read_bytes()
                         + (out / "report.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBadInput:
+    """Every bad input ends with its exit code and a message, never a traceback."""
+
+    @pytest.mark.parametrize("value", ["300", "390", "1000"])
+    def test_control_outside_the_box_hits_the_stability_guard(self, tmp_path, capsys, value):
+        # default grid: dt = 1/400, so dt*value > 1/2 although the box is [-1, 1]
+        code = main(["solve", "--control", f"constant({value})", "--out", str(tmp_path)])
+        assert code == 3
+        assert "stability" in capsys.readouterr().err
+        assert not (tmp_path / "summary.txt").exists()
+
+    def test_non_numeric_constant(self, tmp_path, capsys):
+        code = main(["solve", "--control", "constant(abc)", "--out", str(tmp_path)])
+        assert code == 2
+        assert "abc" in capsys.readouterr().err
+
+    def test_missing_profile_file(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"problem.rho0 = csv({tmp_path / 'missing.txt'})\n")
+        code = main(["solve", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "missing.txt" in capsys.readouterr().err
+
+    def _control_csv(self, tmp_path, edit):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY)
+        spec = build_spec(parse_config(TINY).problem)
+        path = tmp_path / "u.csv"
+        export_control_csv(constant_control(spec.grid, 0.1, spec.vmin, spec.vmax), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return ["solve", "--config", str(config), "--out", str(tmp_path / "out"),
+                "--control", f"csv({path})"]
+
+    def test_control_csv_short_row(self, tmp_path, capsys):
+        def drop_value(lines):
+            lines[5] = lines[5].rsplit(",", 1)[0]
+            return lines
+        assert main(self._control_csv(tmp_path, drop_value)) == 2
+        assert "t,x,value rows" in capsys.readouterr().err
+
+    def test_control_csv_for_another_grid(self, tmp_path, capsys):
+        # same row count, coordinates of a grid with twice the time step
+        def stretch_time(lines):
+            rows = [line.split(",") for line in lines[1:]]
+            return lines[:1] + [f"{2 * float(t)!r},{x},{v}" for t, x, v in rows]
+        assert main(self._control_csv(tmp_path, stretch_time)) == 2
+        assert "line 2: t,x is not the grid point" in capsys.readouterr().err

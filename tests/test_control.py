@@ -32,7 +32,7 @@ class TestProblemSpec:
         ok = dict(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
                   rho0=np.zeros(8), rho_target=np.zeros(8))
         ProblemSpec(**ok)
-        for bad in (dict(alpha=0.0), dict(vmin=1.0, vmax=1.0), dict(ndim=2),
+        for bad in (dict(alpha=0.0), dict(vmin=1.0, vmax=1.0),
                     dict(rho0=np.zeros(7)), dict(rho0=np.full(8, np.nan))):
             with pytest.raises(ValueError):
                 ProblemSpec(**{**ok, **bad})

@@ -9,14 +9,11 @@ from fracctrl.fracop import (
     FractionalOperator,
     Grid,
     InvalidOrderError,
-    apply_operator,
     assemble_operator,
     assemble_weights,
-    export_matrix_csv,
     l2_norm,
     linf_norm,
     normalization_constant,
-    norms,
     quadrature_oracle,
     v_seminorm,
     vstar_norm,
@@ -121,7 +118,7 @@ class TestOperator:
 
     def test_apply_zero(self):
         op = assemble_operator(make_grid(10), 0.5)
-        assert np.array_equal(apply_operator(op, np.zeros(10)), np.zeros(10))
+        assert np.array_equal(op.apply(np.zeros(10)), np.zeros(10))
 
     def test_apply_dimension_mismatch(self):
         op = assemble_operator(make_grid(10), 0.5)
@@ -215,8 +212,9 @@ class TestQuadratureOracle:
 class TestNorms:
     def test_zero_vector(self):
         op = assemble_operator(make_grid(8), 0.5)
-        vals = norms(op, np.zeros(8))
-        assert vals == {"l2": 0.0, "linf": 0.0, "v_seminorm": 0.0, "vstar_norm": 0.0}
+        zero = np.zeros(8)
+        vals = (l2_norm(op.dx, zero), linf_norm(zero), v_seminorm(op, zero), vstar_norm(op, zero))
+        assert vals == (0.0, 0.0, 0.0, 0.0)
 
     def test_one_node_closed_forms(self):
         grid = make_grid(1)
@@ -258,12 +256,3 @@ class TestNorms:
     def test_l2_and_linf(self):
         assert l2_norm(0.5, np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5))
         assert linf_norm(np.array([-3.0, 2.0])) == 3.0
-
-
-def test_matrix_csv_export(tmp_path):
-    op = assemble_operator(make_grid(5), 0.5)
-    path = tmp_path / "A.csv"
-    export_matrix_csv(op, path)
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    loaded = np.array([[float(v) for v in row] for row in rows])
-    assert np.array_equal(loaded, op.matrix)
