@@ -18,7 +18,8 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg import cho_factor, toeplitz
+from scipy.linalg.lapack import dpotrs
 
 
 class InvalidOrderError(ValueError):
@@ -150,7 +151,8 @@ class FractionalOperator:
     def _factor(self):
         if self._cho is None:
             try:
-                self._cho = cho_factor(self.matrix)
+                self._cho, _ = cho_factor(np.array(self.matrix, order="F"), overwrite_a=True,
+                                          check_finite=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
                 raise SolverError(f"operator factorization failed: {exc}") from exc
         return self._cho
@@ -176,11 +178,21 @@ class FractionalOperator:
         return prod[: self.n]
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor(), np.asarray(f, dtype=float))
+        return cholesky_solve(self._factor(), np.asarray(f, dtype=float))
 
     def form(self, u: np.ndarray, v: np.ndarray) -> float:
         """Discrete energy form: dx * v^T A u (the bilinear pairing <Au, v>_h)."""
         return float(self.dx * np.dot(v, self.apply(u)))
+
+
+def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the upper Cholesky factor that cho_factor returns, straight
+    through LAPACK potrs.  Neither the factor nor rhs is scanned for
+    non-finite entries: callers pass data validated where it was built."""
+    x, info = dpotrs(factor, rhs)
+    if info != 0:  # pragma: no cover - only an illegal argument sets it
+        raise SolverError(f"Cholesky solve failed (potrs info={info})")
+    return x
 
 
 def assemble_operator(grid: Grid, s: float) -> FractionalOperator:

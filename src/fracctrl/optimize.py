@@ -50,6 +50,8 @@ class OptimOptions:
             raise ValueError(f"fixed-point damping must lie in (0,1], got {self.fp_damping}")
         if not self.kkt_tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.kkt_tol}")
+        if self.max_iters < 0:
+            raise ValueError(f"iteration budget must be nonnegative, got {self.max_iters}")
 
     def step0(self, spec: ProblemSpec) -> float:
         return self.sigma0 if self.sigma0 is not None else 1.0 / spec.alpha

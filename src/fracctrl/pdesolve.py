@@ -14,21 +14,27 @@ discretization accuracy.
 
 Controls and directions live on the omega nodes at the implicit levels
 1..nt, piecewise constant in time and space.
+
+Validation happens once per object, not once per step: ProblemSpec and
+ControlField reject non-finite data when they are built, so the dense step
+path hands its matrices and right-hand sides to LAPACK unchecked, and each
+march checks its finished trajectory once, raising SolverError that names
+the first non-finite level.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .fracop import (
     FractionalOperator,
     Grid,
     SolverError,
+    cholesky_solve,
     l2_norm,
     linf_norm,
     v_seminorm,
@@ -168,6 +174,11 @@ class StepSolver:
     matching the dense results within solver tolerance.  Matrices are
     symmetric, so the same solver serves the forward and the transposed
     (adjoint) sweeps.
+
+    The dense path trusts its inputs: spec and v were checked for finite
+    values when they were built, so each level is factorized in place by
+    potrf and each solve is one potrs call, neither scanning for non-finite
+    entries.  _march and solve_adjoint check the trajectory they assemble.
     """
 
     CG_RTOL = 1e-12
@@ -189,23 +200,23 @@ class StepSolver:
             self._vfull = v.scatter()
             return
         A = spec.operator.matrix
-        base = np.eye(grid.n) + dt * (A + shift * np.eye(grid.n))
+        base = np.asfortranarray(np.eye(grid.n) + dt * (A + shift * np.eye(grid.n)))
         self._factors = []
         idx = grid.omega_indices
         n_factor = 1 if self.time_constant else grid.nt
         try:
             for k in range(n_factor):
-                M = base.copy()
+                # Fortran order lets potrf overwrite this copy with its factor
+                M = base.copy(order="F")
                 M[idx, idx] -= dt * vals[k]
-                self._factors.append(cho_factor(M))
+                self._factors.append(cho_factor(M, overwrite_a=True, check_finite=False)[0])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
             raise SolverError(f"step matrix factorization failed: {exc}") from exc
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""
         if self.method == "dense":
-            factor = self._factors[0 if self.time_constant else level - 1]
-            return cho_solve(factor, rhs)
+            return cholesky_solve(self._factors[0 if self.time_constant else level - 1], rhs)
         dt, shift = self._dt, self._shift
         vrow = self._vfull[level - 1]
 
@@ -240,6 +251,15 @@ def _as_source(grid: Grid, f) -> np.ndarray:
     return arr
 
 
+def _check_finite(values: np.ndarray, levels, what: str) -> None:
+    """Raise SolverError naming the first of levels, in the order given, whose
+    snapshot holds a non-finite entry."""
+    finite = np.isfinite(values).all(axis=1)
+    for k in levels:
+        if not finite[k]:
+            raise SolverError(f"non-finite {what} at level {k}")
+
+
 def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
            source: np.ndarray | None, scale: np.ndarray | None) -> TimeField:
     grid = spec.grid
@@ -251,9 +271,8 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
         rhs = cur if source is None else cur + dt * (
             source[k - 1] if scale is None else scale[k - 1] * source[k - 1])
         cur = steps.solve(k, rhs)
-        if not np.all(np.isfinite(cur)):
-            raise SolverError(f"non-finite state at level {k}")
         out[k] = cur
+    _check_finite(out, range(1, grid.nt + 1), "state")
     return TimeField(out, grid)
 
 
@@ -303,9 +322,8 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
     out[grid.nt] = cur
     for k in range(grid.nt - 1, 0, -1):
         cur = steps.solve(k, cur)
-        if not np.all(np.isfinite(cur)):
-            raise SolverError(f"non-finite multiplier at level {k}")
         out[k] = cur
+    _check_finite(out, range(grid.nt, 0, -1), "multiplier")
     out[0] = out[1]
     return TimeField(out, grid)
 
@@ -338,12 +356,11 @@ def source_vstar_norm(spec: ProblemSpec, f) -> float:
 
 def _write_rows(path, times: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     """One t,x,value row per (time, node), 17 significant digits, under a header."""
+    t_col = np.repeat(times, len(x)).tolist()
+    x_col = np.tile(x, len(times)).tolist()
+    rows = map("%.17g,%.17g,%.17g\r\n".__mod__, zip(t_col, x_col, np.ravel(values).tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "value"])
-        for k, t in enumerate(times):
-            for i, xi in enumerate(x):
-                writer.writerow([f"{t:.17g}", f"{xi:.17g}", f"{values[k, i]:.17g}"])
+        fh.write("t,x,value\r\n" + "".join(rows))
 
 
 def export_trajectory_csv(field: TimeField, path) -> None:

@@ -686,6 +686,13 @@ class SuiteConfig:
     c_user: float = 0.0
     spec: ProblemSpec | None = None
 
+    def __post_init__(self):
+        for name in ("mp_cases", "estimate_cases", "derivative_cases", "lipschitz_pairs",
+                     "vi_samples", "coercivity_samples", "growth_samples", "starts"):
+            count = getattr(self, name)
+            if count < 1:
+                raise ValueError(f"{name} must be at least 1, got {count}")
+
 
 def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:
     if cfg is None:

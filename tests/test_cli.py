@@ -286,6 +286,23 @@ class TestBadInput:
         assert code == 2
         assert "abc" in capsys.readouterr().err
 
+    def test_negative_iteration_budget(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "optimizer.method = fp\noptimizer.max_iters = -1\n")
+        code = main(["optimize", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "iteration budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,suite", [("lipschitz_pairs", "lipschitz"),
+                                           ("derivative_cases", "derivatives")])
+    def test_zero_case_count(self, tmp_path, capsys, key, suite):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + f"verify.{key} = 0\n")
+        code = main(["verify", "--config", str(config), "--suite", suite,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(f"problem.rho0 = csv({tmp_path / 'missing.txt'})\n")

@@ -34,7 +34,7 @@ class TestOptions:
     @pytest.mark.parametrize("bad", [
         dict(armijo_c1=0.0), dict(armijo_c1=1.0), dict(backtrack=1.0),
         dict(sigma0=-1.0), dict(fp_damping=0.0), dict(fp_damping=1.5),
-        dict(kkt_tol=0.0),
+        dict(kkt_tol=0.0), dict(max_iters=-1),
     ])
     def test_invalid_options_rejected(self, bad):
         with pytest.raises(ValueError):

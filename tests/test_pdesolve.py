@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from fracctrl.fracop import Grid
+from fracctrl.fracop import Grid, SolverError
 from fracctrl.pdesolve import (
     ControlField,
     StabilityError,
+    StepSolver,
     TimeField,
     constant_control,
     export_control_csv,
@@ -263,6 +265,50 @@ class TestLinearizedSolver:
         slope = np.polyfit(np.log(eps_grid), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.1
         assert np.all(np.diff(errs) < 0)
+
+
+class TestDenseStepPath:
+    """The dense path factorizes in place and solves through potrs; it must
+    give exactly what scipy's checked cho_factor/cho_solve give."""
+
+    @pytest.mark.parametrize("kind,shift", [("varying", 0.0), ("constant", 0.0),
+                                            ("varying", 0.7)])
+    def test_solve_equals_checked_cholesky(self, kind, shift):
+        rng = np.random.default_rng(60)
+        spec = make_spec(n=24, nt=6)
+        v = (random_control(spec, rng) if kind == "varying"
+             else constant_control(spec.grid, 0.4, spec.vmin, spec.vmax))
+        steps = StepSolver(spec, v, shift=shift)
+        n, dt = spec.grid.n, spec.grid.dt
+        base = np.eye(n) + dt * (spec.operator.matrix + shift * np.eye(n))
+        for level in range(1, spec.grid.nt + 1):
+            M = base - dt * np.diag(v.scatter()[level - 1])
+            b = rng.standard_normal(n)
+            assert np.array_equal(steps.solve(level, b), cho_solve(cho_factor(M), b))
+
+    def test_build_leaves_operator_matrix_unchanged(self):
+        rng = np.random.default_rng(61)
+        spec = make_spec(n=24, nt=6)
+        before = spec.operator.matrix.copy()
+        StepSolver(spec, random_control(spec, rng), shift=0.5)
+        StepSolver(spec, constant_control(spec.grid, 0.4))
+        assert np.array_equal(spec.operator.matrix, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_source_names_its_level(self, bad):
+        spec = make_spec(n=24, nt=10, rho0=np.ones(24))
+        f = np.zeros((10, 24))
+        f[6, 3] = bad  # source row 6 enters implicit level 7
+        with pytest.raises(SolverError, match="non-finite state at level 7$"):
+            solve_sourced(spec, zero_control(spec.grid), f)
+
+    @pytest.mark.parametrize("nt", [10, 1])
+    def test_non_finite_terminal_rejected(self, nt):
+        spec = make_spec(n=24, nt=nt)
+        terminal = np.zeros(24)
+        terminal[5] = np.nan
+        with pytest.raises(SolverError, match=f"non-finite multiplier at level {nt}$"):
+            solve_adjoint(spec, zero_control(spec.grid), terminal)
 
 
 class TestConjugateGradientPath:
