@@ -13,7 +13,6 @@ discretization error.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,18 +132,6 @@ class KKTReport:
             f"n_inactive = {int(self.inactive.sum())}",
         ]
         return "\n".join(lines) + "\n"
-
-    def masks_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "node", "lower_active", "upper_active", "inactive"])
-            nt, n_omega = self.g.shape
-            for k in range(nt):
-                for i in range(n_omega):
-                    writer.writerow([k + 1, i,
-                                     int(self.lower_active[k, i]),
-                                     int(self.upper_active[k, i]),
-                                     int(self.inactive[k, i])])
 
 
 def kkt_residual(spec: ProblemSpec, u: ControlField,

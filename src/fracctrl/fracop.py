@@ -146,7 +146,6 @@ class FractionalOperator:
         self.g = assemble_weights(s, n)
         self.matrix = dx ** (-2.0 * s) * toeplitz(self.g)
         self._cho = None
-        self._fft = None  # circulant embedding for the fast matvec
 
     def _factor(self):
         if self._cho is None:
@@ -162,20 +161,6 @@ class FractionalOperator:
         if u.shape != (self.n,):
             raise ValueError(f"vector length {u.shape} does not match operator size {self.n}")
         return self.matrix @ u
-
-    def apply_fft(self, u: np.ndarray) -> np.ndarray:
-        """Toeplitz matvec via circulant embedding; O(n log n) per product."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise ValueError(f"vector length {u.shape} does not match operator size {self.n}")
-        if self._fft is None:
-            col = self.dx ** (-2.0 * self.s) * self.g
-            emb = np.concatenate([col, [0.0], col[:0:-1]])
-            self._fft = np.fft.rfft(emb)
-        ext = np.zeros(2 * self.n)
-        ext[: self.n] = u
-        prod = np.fft.irfft(self._fft * np.fft.rfft(ext), 2 * self.n)
-        return prod[: self.n]
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         return cholesky_solve(self._factor(), np.asarray(f, dtype=float))

@@ -7,10 +7,11 @@ implicitly: each step solves
 
 Under dt*theta <= 1/2 every step matrix is a symmetric positive definite
 M-matrix, which yields nonnegativity preservation and the per-step sup
-bound ||M^(-1)||_inf <= 1/(1 - dt*theta) for free.  The adjoint solver is
-the exact transpose of the forward map (step matrices are symmetric and
-reused), so discrete duality identities hold to round-off rather than to
-discretization accuracy.
+bound ||M^(-1)||_inf <= 1/(1 - dt*theta) for free.  Every step is solved
+with the exact Cholesky factors of its matrix, and the forward and adjoint
+sweeps use the same factors, so the adjoint solver is the exact transpose
+of the forward map and discrete duality identities hold to round-off
+rather than to discretization accuracy.
 
 Controls and directions live on the omega nodes at the implicit levels
 1..nt, piecewise constant in time and space.
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .fracop import (
     FractionalOperator,
@@ -145,19 +145,9 @@ class ControlField:
     def l2(self) -> float:
         return float(np.sqrt(self.grid.dx * self.grid.dt * np.sum(self.values**2)))
 
-    def scatter(self) -> np.ndarray:
-        """Embed into full node space: (nt, n) array, zero off the window."""
-        full = np.zeros((self.grid.nt, self.grid.n))
-        full[:, self.grid.omega_mask] = self.values
-        return full
-
     def like(self, values: np.ndarray) -> "ControlField":
         return ControlField(values=np.asarray(values, dtype=float), grid=self.grid,
                             vmin=self.vmin, vmax=self.vmax)
-
-
-def zero_control(grid: Grid, vmin: float | None = None, vmax: float | None = None) -> ControlField:
-    return ControlField(np.zeros((grid.nt, grid.n_omega)), grid, vmin=vmin, vmax=vmax)
 
 
 def constant_control(grid: Grid, value: float, vmin=None, vmax=None) -> ControlField:
@@ -166,39 +156,24 @@ def constant_control(grid: Grid, value: float, vmin=None, vmax=None) -> ControlF
 
 
 class StepSolver:
-    """Per-level step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
+    """Cholesky factors of the step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
 
-    method "dense" factorizes each level with Cholesky (shared across levels
-    when the control is constant in time); method "cg" runs conjugate
-    gradients on the FFT Toeplitz matvec instead, to relative residual 1e-12,
-    matching the dense results within solver tolerance.  Matrices are
-    symmetric, so the same solver serves the forward and the transposed
-    (adjoint) sweeps.
+    Each level is factorized once (one factor serves every level when the
+    control is constant in time).  The matrices are symmetric, so the same
+    factors serve the forward and the transposed (adjoint) sweeps, which is
+    what makes the adjoint the exact transpose of the forward map.
 
-    The dense path trusts its inputs: spec and v were checked for finite
-    values when they were built, so each level is factorized in place by
-    potrf and each solve is one potrs call, neither scanning for non-finite
-    entries.  _march and solve_adjoint check the trajectory they assemble.
+    The solver trusts its inputs: spec and v were checked for finite values
+    when they were built, so each level is factorized in place by potrf and
+    each solve is one potrs call, neither scanning for non-finite entries.
+    _march and solve_adjoint check the trajectory they assemble.
     """
 
-    CG_RTOL = 1e-12
-
-    def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0,
-                 method: str = "dense"):
-        if method not in ("dense", "cg"):
-            raise ValueError(f"unknown solver method '{method}' (use dense or cg)")
+    def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
         grid = spec.grid
         dt = grid.dt
         vals = v.values
-        self.method = method
         self.time_constant = bool(np.all(vals == vals[0]))
-        self.grid = grid
-        if method == "cg":
-            self._op = spec.operator
-            self._dt = dt
-            self._shift = shift
-            self._vfull = v.scatter()
-            return
         A = spec.operator.matrix
         base = np.asfortranarray(np.eye(grid.n) + dt * (A + shift * np.eye(grid.n)))
         self._factors = []
@@ -215,19 +190,7 @@ class StepSolver:
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""
-        if self.method == "dense":
-            return cholesky_solve(self._factors[0 if self.time_constant else level - 1], rhs)
-        dt, shift = self._dt, self._shift
-        vrow = self._vfull[level - 1]
-
-        def matvec(x):
-            return x + dt * (self._op.apply_fft(x) + shift * x) - dt * (vrow * x)
-
-        operator = LinearOperator((self.grid.n, self.grid.n), matvec=matvec)
-        x, info = cg(operator, rhs, x0=rhs, rtol=self.CG_RTOL, atol=0.0)
-        if info != 0:  # pragma: no cover - well-conditioned SPD system
-            raise SolverError(f"conjugate gradients failed at level {level} (info={info})")
-        return x
+        return cholesky_solve(self._factors[0 if self.time_constant else level - 1], rhs)
 
 
 def _check_stability(spec: ProblemSpec, v: ControlField) -> None:
@@ -276,20 +239,19 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
     return TimeField(out, grid)
 
 
-def solve_state(spec: ProblemSpec, v: ControlField, method: str = "dense") -> TimeField:
+def solve_state(spec: ProblemSpec, v: ControlField) -> TimeField:
     """Trajectory of the homogeneous bilinear equation from rho0."""
     _check_stability(spec, v)
-    return _march(spec, StepSolver(spec, v, method=method), spec.rho0, None, None)
+    return _march(spec, StepSolver(spec, v), spec.rho0, None, None)
 
 
-def solve_sourced(spec: ProblemSpec, v: ControlField, f, method: str = "dense") -> TimeField:
+def solve_sourced(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     """Trajectory with an additive source f at the implicit levels."""
     _check_stability(spec, v)
-    return _march(spec, StepSolver(spec, v, method=method), spec.rho0,
-                  _as_source(spec.grid, f), None)
+    return _march(spec, StepSolver(spec, v), spec.rho0, _as_source(spec.grid, f), None)
 
 
-def solve_shifted(spec: ProblemSpec, v: ControlField, f, method: str = "dense") -> TimeField:
+def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     """Trajectory of the shifted system with rate r = sup|v| and source e^(-r t_n) f^n.
 
     The shift makes the step matrices M-matrices for any dt, so no stability
@@ -298,12 +260,10 @@ def solve_shifted(spec: ProblemSpec, v: ControlField, f, method: str = "dense") 
     r = v.sup
     grid = spec.grid
     scale = np.exp(-r * grid.dt * np.arange(1, grid.nt + 1))
-    return _march(spec, StepSolver(spec, v, shift=r, method=method), spec.rho0,
-                  _as_source(grid, f), scale)
+    return _march(spec, StepSolver(spec, v, shift=r), spec.rho0, _as_source(grid, f), scale)
 
 
-def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
-                  method: str = "dense") -> TimeField:
+def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> TimeField:
     """Exact discrete transpose of the forward map.
 
     Solves M_nt lam^nt = terminal, then M_n lam^n = lam^(n+1) down to n = 1.
@@ -316,7 +276,7 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (grid.n,):
         raise ValueError(f"terminal datum shape {terminal.shape} != {(grid.n,)}")
-    steps = StepSolver(spec, v, method=method)
+    steps = StepSolver(spec, v)
     out = np.empty((grid.nt + 1, grid.n))
     cur = steps.solve(grid.nt, terminal)
     out[grid.nt] = cur

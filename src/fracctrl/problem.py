@@ -16,17 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fracop import FractionalOperator, Grid, assemble_operator
+from .fracop import FractionalOperator, Grid, InvalidOrderError, assemble_operator
 
 
 @dataclass
 class ProblemSpec:
     """Full control problem instance.
 
-    vmin/vmax are the box bounds on the control (vmax > vmin); rho0 and
-    rho_target are values at the interior nodes.  rho0_sup/target_sup may
-    declare the analytic sup-norms of the underlying profiles; they default
-    to the sampled max.
+    s is the fractional order in (0, 1) and alpha > 0 the finite
+    regularization weight; vmin/vmax are the box bounds on the control
+    (vmax > vmin); rho0 and rho_target are values at the interior nodes.
+    rho0_sup/target_sup may declare the analytic sup-norms of the underlying
+    profiles; they default to the sampled max.
     """
 
     grid: Grid
@@ -41,8 +42,11 @@ class ProblemSpec:
     _op: FractionalOperator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"regularization weight must be positive, got alpha={self.alpha}")
+        if not 0.0 < self.s < 1.0:
+            raise InvalidOrderError(f"fractional order must lie in (0, 1), got s={self.s}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"regularization weight must be positive and finite, "
+                             f"got alpha={self.alpha}")
         if not self.vmax > self.vmin:
             raise ValueError(f"control box needs vmax > vmin, got [{self.vmin}, {self.vmax}]")
         self.rho0 = np.asarray(self.rho0, dtype=float)
@@ -82,15 +86,9 @@ def bump_profile(grid: Grid, amplitude: float) -> np.ndarray:
     return amplitude * np.maximum(1.0 - xi**2, 0.0)
 
 
-def eigen_profile(spec_or_grid, s: float | None = None, k: int = 1) -> np.ndarray:
-    """k-th eigenvector of the discrete operator, sup-normalized with positive peak.
-
-    Accepts a ProblemSpec (reusing its operator) or a (Grid, s) pair.
-    """
-    if isinstance(spec_or_grid, ProblemSpec):
-        op = spec_or_grid.operator
-    else:
-        op = assemble_operator(spec_or_grid, s)
+def eigen_profile(grid: Grid, s: float, k: int = 1) -> np.ndarray:
+    """k-th eigenvector of the discrete operator, sup-normalized with positive peak."""
+    op = assemble_operator(grid, s)
     if not 1 <= k <= op.n:
         raise ValueError(f"eigenvector index must lie in 1..{op.n}, got {k}")
     _, vecs = np.linalg.eigh(op.matrix)

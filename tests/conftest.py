@@ -1,0 +1,16 @@
+"""Hypothesis runs derandomized with no example database, so every run of
+the suite draws the same examples.  Its remaining on-disk cache (constants
+read from the source) goes to a temporary directory removed at exit, so a
+run writes nothing to the working tree."""
+
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+_storage = tempfile.TemporaryDirectory(prefix="fracctrl-hypothesis-")
+set_hypothesis_home_dir(_storage.name)
+
+settings.register_profile("fracctrl", derandomize=True, database=None, deadline=None,
+                          max_examples=200)
+settings.load_profile("fracctrl")

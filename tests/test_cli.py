@@ -303,6 +303,20 @@ class TestBadInput:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [("problem.s = 1.5", "fractional order"),
+                                              ("problem.s = 0", "fractional order"),
+                                              ("problem.s = nan", "fractional order"),
+                                              ("problem.alpha = inf", "regularization weight")])
+    @pytest.mark.parametrize("command", ["solve", "optimize", "verify", "gradcheck"])
+    def test_bad_order_or_weight(self, tmp_path, capsys, line, message, command):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + line + "\n")
+        argv = [command, "--config", str(config)]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(f"problem.rho0 = csv({tmp_path / 'missing.txt'})\n")

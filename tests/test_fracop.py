@@ -151,14 +151,6 @@ class TestOperator:
             errs.append(np.max(np.abs(op.apply(u)[keep] - c)))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
-    def test_fft_matvec_matches_dense(self):
-        rng = np.random.default_rng(11)
-        op = assemble_operator(make_grid(97), 0.35)
-        u = rng.standard_normal(97)
-        dense = op.apply(u)
-        fast = op.apply_fft(u)
-        assert np.max(np.abs(dense - fast)) <= 1e-12 * np.max(np.abs(dense))
-
 
 class TestQuadratureOracle:
     def test_zero_function(self):

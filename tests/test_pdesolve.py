@@ -19,7 +19,6 @@ from fracctrl.pdesolve import (
     solve_sourced,
     solve_state,
     source_vstar_norm,
-    zero_control,
 )
 from fracctrl.problem import ProblemSpec
 
@@ -91,7 +90,7 @@ class TestStateSolver:
     def test_stability_guard(self):
         spec = make_spec(nt=2, T=4.0)  # dt*theta = 2 > 1/2
         with pytest.raises(StabilityError):
-            solve_state(spec, zero_control(spec.grid, spec.vmin, spec.vmax))
+            solve_state(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax))
 
     def test_deterministic_rerun(self):
         rng = np.random.default_rng(3)
@@ -114,7 +113,7 @@ class TestSourcedSolver:
     def test_constant_eigen_source_geometric_series(self):
         spec = make_spec(window=(-1.0, 1.0))
         lam, phi = principal_mode(spec)
-        v = zero_control(spec.grid, spec.vmin, spec.vmax)
+        v = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
         f = np.tile(phi, (spec.grid.nt, 1))
         rho = solve_sourced(spec, v, f)
         dt = spec.grid.dt
@@ -148,7 +147,7 @@ class TestShiftedSolver:
     def test_zero_control_equals_sourced(self):
         rng = np.random.default_rng(7)
         spec = make_spec(rho0=rng.standard_normal(18))
-        v = zero_control(spec.grid, spec.vmin, spec.vmax)
+        v = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
         f = rng.standard_normal((spec.grid.nt, spec.grid.n))
         assert np.array_equal(solve_shifted(spec, v, f).values,
                               solve_sourced(spec, v, f).values)
@@ -226,7 +225,7 @@ class TestLinearizedSolver:
         spec = make_spec(rho0=rng.standard_normal(18))
         v = random_control(spec, rng)
         rho = solve_state(spec, v)
-        y = solve_linearized(spec, v, zero_control(spec.grid), rho)
+        y = solve_linearized(spec, v, constant_control(spec.grid, 0.0), rho)
         assert np.array_equal(y.values, np.zeros_like(y.values))
 
     def test_zero_state_kills_sensitivity(self):
@@ -282,7 +281,9 @@ class TestDenseStepPath:
         n, dt = spec.grid.n, spec.grid.dt
         base = np.eye(n) + dt * (spec.operator.matrix + shift * np.eye(n))
         for level in range(1, spec.grid.nt + 1):
-            M = base - dt * np.diag(v.scatter()[level - 1])
+            window = np.zeros(n)
+            window[spec.grid.omega_mask] = v.values[level - 1]
+            M = base - dt * np.diag(window)
             b = rng.standard_normal(n)
             assert np.array_equal(steps.solve(level, b), cho_solve(cho_factor(M), b))
 
@@ -300,7 +301,7 @@ class TestDenseStepPath:
         f = np.zeros((10, 24))
         f[6, 3] = bad  # source row 6 enters implicit level 7
         with pytest.raises(SolverError, match="non-finite state at level 7$"):
-            solve_sourced(spec, zero_control(spec.grid), f)
+            solve_sourced(spec, constant_control(spec.grid, 0.0), f)
 
     @pytest.mark.parametrize("nt", [10, 1])
     def test_non_finite_terminal_rejected(self, nt):
@@ -308,36 +309,7 @@ class TestDenseStepPath:
         terminal = np.zeros(24)
         terminal[5] = np.nan
         with pytest.raises(SolverError, match=f"non-finite multiplier at level {nt}$"):
-            solve_adjoint(spec, zero_control(spec.grid), terminal)
-
-
-class TestConjugateGradientPath:
-    def test_matches_dense_solver(self):
-        # optional performance mode: FFT Toeplitz matvec + CG to relative
-        # residual 1e-12 reproduces the Cholesky trajectories
-        rng = np.random.default_rng(50)
-        spec = make_spec(n=40, nt=20, rho0=rng.standard_normal(40))
-        v = random_control(spec, rng)
-        dense = solve_state(spec, v)
-        fast = solve_state(spec, v, method="cg")
-        scale = np.max(np.abs(dense.values))
-        assert np.max(np.abs(dense.values - fast.values)) <= 1e-9 * scale
-
-    def test_adjoint_matches_dense_solver(self):
-        rng = np.random.default_rng(51)
-        spec = make_spec(n=40, nt=20, rho0=rng.standard_normal(40))
-        v = random_control(spec, rng)
-        terminal = rng.standard_normal(40)
-        dense = solve_adjoint(spec, v, terminal)
-        fast = solve_adjoint(spec, v, terminal, method="cg")
-        scale = np.max(np.abs(dense.values))
-        assert np.max(np.abs(dense.values - fast.values)) <= 1e-9 * scale
-
-    def test_unknown_method_rejected(self):
-        rng = np.random.default_rng(52)
-        spec = make_spec()
-        with pytest.raises(ValueError):
-            solve_state(spec, random_control(spec, rng), method="lu")
+            solve_adjoint(spec, constant_control(spec.grid, 0.0), terminal)
 
 
 class TestFieldContainers:

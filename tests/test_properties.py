@@ -1,0 +1,111 @@
+"""Property tests of the step solver over random orders, grids, boxes and controls.
+
+Every instance keeps dt*theta <= 1/2, so each step matrix is an M-matrix and
+the forward and adjoint sweeps share its exact Cholesky factors.
+"""
+
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from fracctrl.cli import build_spec, main, parse_config
+from fracctrl.pdesolve import (
+    ControlField,
+    export_control_csv,
+    export_trajectory_csv,
+    solve_adjoint,
+    solve_linearized,
+    solve_state,
+)
+from fracctrl.verify import sup_envelope_ratios
+
+
+@st.composite
+def instances(draw):
+    """Problem keys of a random instance (CLI config names), a seed for its
+    data and whether its control is bang-bang.
+
+    The window covers the nodes first..last; its ends sit half a spacing
+    outside them, so the mask does not depend on rounding.
+    """
+    n = draw(st.integers(3, 40))
+    nt = draw(st.integers(1, 30))
+    T = draw(st.floats(0.05, 2.0))
+    first = draw(st.integers(0, n - 1))
+    last = draw(st.integers(first, n - 1))
+    dx = 2.0 / (n + 1)
+    limit = 0.5 * nt / T
+    lo, hi = sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+    assume(hi > lo)
+    keys = dict(a=-1.0, b=1.0, n=n, s=draw(st.floats(0.05, 0.95)), T=T, nt=nt,
+                omega_a=-1.0 + (first + 0.5) * dx, omega_b=-1.0 + (last + 1.5) * dx,
+                m=lo * limit, M=hi * limit)
+    assume(T / nt * max(abs(keys["m"]), abs(keys["M"])) <= 0.5)
+    return keys, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+def build(keys, seed, bang_bang):
+    """Spec with a random nonnegative rho0 and a random admissible control.
+
+    bang_bang puts every control value on a corner of the box.
+    """
+    text = "".join(f"problem.{k} = {v!r}\n" for k, v in keys.items())
+    spec = build_spec(parse_config(text).problem)
+    rng = np.random.default_rng(seed)
+    n = spec.grid.n
+    spec = replace(spec, rho0=np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.7)
+                   * rng.uniform(0.1, 2.0), rho_target=rng.standard_normal(n),
+                   rho0_sup=None, target_sup=None)
+    shape = (spec.grid.nt, spec.grid.n_omega)
+    vals = (np.where(rng.random(shape) < 0.5, spec.vmin, spec.vmax) if bang_bang
+            else rng.uniform(spec.vmin, spec.vmax, size=shape))
+    return text, spec, ControlField(vals, spec.grid, spec.vmin, spec.vmax), rng
+
+
+@given(instances())
+def test_state_stays_nonnegative(instance):
+    _, spec, v, _ = build(*instance)
+    assert solve_state(spec, v).values.min() >= 0.0
+
+
+@given(instances())
+def test_per_step_sup_bound(instance):
+    _, spec, v, _ = build(*instance)
+    step_ratio, _ = sup_envelope_ratios(solve_state(spec, v), v.theta)
+    assert step_ratio <= 1 + 1e-12
+
+
+@given(instances())
+def test_adjoint_duality_to_round_off(instance):
+    # dx<r, y_T> = dx dt sum(w rho q) on the window; scaled by Cauchy-Schwarz
+    # because the pairing itself can cancel to zero
+    _, spec, v, rng = build(*instance)
+    w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+    r = rng.standard_normal(spec.grid.n)
+    rho = solve_state(spec, v)
+    y = solve_linearized(spec, v, w, rho)
+    q = solve_adjoint(spec, v, r)
+    dx = spec.grid.dx
+    lhs = dx * float(np.dot(r, y.final))
+    rhs = spec.control_dot(w.values * rho.restrict_omega(), q.restrict_omega())
+    assert abs(lhs - rhs) <= 1e-12 * dx * np.linalg.norm(r) * np.linalg.norm(y.final)
+
+
+@given(instances())
+def test_control_csv_round_trip_is_exact(instance):
+    # the CLI rebuilds rho0 from its config, so compare against that spec
+    text, spec, v, _ = build(*instance)
+    spec = build_spec(parse_config(text).problem)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_text(text)
+        export_control_csv(v, tmp / "u.csv")
+        code = main(["solve", "--config", str(tmp / "run.cfg"), "--out", str(tmp / "out"),
+                     "--control", f"csv({tmp / 'u.csv'})"])
+        assert code == 0
+        export_trajectory_csv(solve_state(spec, v), tmp / "rho.csv")
+        assert (tmp / "out" / "rho.csv").read_bytes() == (tmp / "rho.csv").read_bytes()
