@@ -309,12 +309,9 @@ def cmd_solve(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
     spec = build_spec(cfg.problem)
-    opts = cfg.optimizer
-    if args.seed is not None:
-        opts = replace(opts, seed=args.seed)
     start = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
     driver = projected_gradient if cfg.optimizer.method == "pg" else fixed_point
-    result: OptimResult = driver(spec, start, opts)
+    result: OptimResult = driver(spec, start, cfg.optimizer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_control_csv(result.u, out / "u.csv")
@@ -361,10 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "solve, optimize, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, control=False):
+    def common(p, control=False, seed=False):
         p.add_argument("--config", help="key = value config file; defaults used if omitted")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         if control:
             p.add_argument("--control", default="zero",
                            help="control source: zero, constant(c) or csv(path)")
@@ -383,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--suite", choices=sorted(SUITES), help="run a single suite")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="compare the adjoint gradient with finite differences")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

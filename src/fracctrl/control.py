@@ -26,10 +26,6 @@ from .pdesolve import (
 )
 from .problem import ProblemSpec
 
-# The pointwise optimality trichotomy (control at a bound where the gradient
-# field has a strict sign, undetermined on its zero set) is measure-theoretic;
-# classifying floats requires a tie threshold relative to the field magnitude.
-TIE_REL = 1e-10
 # Box-boundary detection tolerance, relative to the box width.
 BOX_REL = 1e-9
 
@@ -64,20 +60,17 @@ def gradient(spec: ProblemSpec, v: ControlField, rho: TimeField | None = None,
 
 
 def hessian_bilinear(spec: ProblemSpec, u: ControlField, w: ControlField, d: ControlField,
-                     rho: TimeField | None = None, q: TimeField | None = None,
-                     y_w: TimeField | None = None, y_d: TimeField | None = None) -> float:
+                     rho: TimeField | None = None, q: TimeField | None = None) -> float:
     """Second derivative of the discrete cost along the direction pair (w, d).
 
     Exact for the discrete objective and symmetric in (w, d) by construction.
-    Precomputed trajectories may be passed to avoid repeated solves; w is d
-    reuses y_w for y_d.
+    The state and adjoint for u may be passed to avoid repeated solves; when
+    d is w the one linearized solve serves both directions.
     """
     if rho is None or q is None:
         _, rho, q = gradient(spec, u, rho=rho, q=q)
-    if y_w is None:
-        y_w = solve_linearized(spec, u, w, rho)
-    if y_d is None:
-        y_d = y_w if d is w else solve_linearized(spec, u, d, rho)
+    y_w = solve_linearized(spec, u, w, rho)
+    y_d = y_w if d is w else solve_linearized(spec, u, d, rho)
     q_w = q.restrict_omega()
     cross = spec.control_dot(d.values * y_w.restrict_omega()
                              + w.values * y_d.restrict_omega(), q_w)
@@ -108,62 +101,37 @@ def projection_residual(spec: ProblemSpec, u: ControlField, rho: TimeField,
 
 @dataclass
 class KKTReport:
-    """First-order residual and gradient-sign classification on the window.
-
-    residual is ||u - clip(-rho*q/alpha)|| in L2(omega_T).  The masks
-    partition the window up to ties: lower_active where g exceeds the tie
-    threshold (control pinned at the lower bound at a stationary point),
-    upper_active where g is below minus the threshold, inactive where |g|
-    is within the threshold.
-    """
+    """Gradient field on the window and the first-order residual
+    ||u - clip(-rho*q/alpha)|| in L2(omega_T)."""
 
     g: np.ndarray
     residual: float
-    lower_active: np.ndarray
-    upper_active: np.ndarray
-    inactive: np.ndarray
-
-    def to_text(self) -> str:
-        lines = [
-            f"kkt_residual = {self.residual:.17g}",
-            f"gradient_sup = {float(np.max(np.abs(self.g))):.17g}",
-            f"n_lower_active = {int(self.lower_active.sum())}",
-            f"n_upper_active = {int(self.upper_active.sum())}",
-            f"n_inactive = {int(self.inactive.sum())}",
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def kkt_residual(spec: ProblemSpec, u: ControlField,
                  rho: TimeField | None = None, q: TimeField | None = None) -> KKTReport:
     g, rho, q = gradient(spec, u, rho=rho, q=q)
     residual, _ = projection_residual(spec, u, rho, q)
-    tie = TIE_REL * float(np.max(np.abs(g))) if g.size else 0.0
-    lower = g > tie
-    upper = g < -tie
-    return KKTReport(g=g, residual=residual, lower_active=lower, upper_active=upper,
-                     inactive=~(lower | upper))
+    return KKTReport(g=g, residual=residual)
 
 
-def active_set(spec: ProblemSpec, u: ControlField, tau: float,
-               g: np.ndarray | None = None) -> np.ndarray:
-    """Strongly active window points: |alpha*u + rho*q| strictly above tau."""
+def active_set(g: np.ndarray, tau: float) -> np.ndarray:
+    """Strongly active window points: |g| = |alpha*u + rho*q| strictly above tau."""
     if tau < 0:
         raise ValueError(f"activity threshold must be nonnegative, got {tau}")
-    if g is None:
-        g, _, _ = gradient(spec, u)
     return np.abs(g) > tau
 
 
 def critical_cone_project(spec: ProblemSpec, u: ControlField, tau: float, v: np.ndarray,
-                          g: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise L2 projection of a direction onto the tau-critical cone.
+                          g: np.ndarray) -> np.ndarray:
+    """Pointwise L2 projection of a direction onto the tau-critical cone of u,
+    whose gradient field is g.
 
     Zero on the strongly active set; nonnegative part where the control sits
     at the lower bound (off the active set), nonpositive part at the upper
     bound; unchanged elsewhere.
     """
-    active = active_set(spec, u, tau, g=g)
+    active = active_set(g, tau)
     box_tol = BOX_REL * (spec.vmax - spec.vmin)
     at_lower = (u.values - spec.vmin) <= box_tol
     at_upper = (spec.vmax - u.values) <= box_tol
@@ -219,38 +187,26 @@ class CoercivityReport:
     status: str  # "ok" or "inconclusive"
     min_quotient: float
     n_used: int
-    alpha: float
-
-    @property
-    def holds_sufficient(self) -> bool:
-        return self.status == "ok" and self.min_quotient >= 0.5 * self.alpha
-
-    @property
-    def holds_necessary(self) -> bool:
-        return self.status == "ok" and self.min_quotient >= 0.0
 
 
 def check_coercivity(spec: ProblemSpec, u: ControlField, tau: float, n_samples: int,
-                     seed: int = 0, zero_tol: float | None = None) -> CoercivityReport:
+                     seed: int = 0) -> CoercivityReport:
     """Sample random directions projected into the tau-critical cone and
     report the minimum Hessian Rayleigh quotient J''(u)[v,v] / ||v||^2.
 
-    zero_tol floors the activity threshold: at a numerically converged
+    The activity threshold is floored at 1e-6 times the natural field
+    magnitude alpha*theta + sup|rho| sup|q|: at a numerically converged
     interior point the gradient field is round-off noise rather than an
     exact zero, and treating that noise as strong activity would collapse
-    the cone to {0}.  The default floor is 1e-6 times the natural field
-    magnitude alpha*theta + sup|rho| sup|q|.
+    the cone to {0}.
     """
     g, rho, q = gradient(spec, u)
-    if zero_tol is None:
-        scale = spec.alpha * spec.theta + rho.linf() * q.linf()
-        zero_tol = 1e-6 * scale
-    tau_eff = max(tau, zero_tol)
+    tau_eff = max(tau, 1e-6 * (spec.alpha * spec.theta + rho.linf() * q.linf()))
     rng = np.random.default_rng(seed)
     quotients = []
     for _ in range(n_samples):
         raw = rng.standard_normal(u.values.shape)
-        proj = critical_cone_project(spec, u, tau_eff, raw, g=g)
+        proj = critical_cone_project(spec, u, tau_eff, raw, g)
         norm = spec.control_norm(proj)
         if norm < 1e-10:
             continue
@@ -258,7 +214,6 @@ def check_coercivity(spec: ProblemSpec, u: ControlField, tau: float, n_samples: 
         value = hessian_bilinear(spec, u, direction, direction, rho=rho, q=q)
         quotients.append(value / norm**2)
     if not quotients:
-        return CoercivityReport(status="inconclusive", min_quotient=np.nan,
-                                n_used=0, alpha=spec.alpha)
+        return CoercivityReport(status="inconclusive", min_quotient=np.nan, n_used=0)
     return CoercivityReport(status="ok", min_quotient=float(min(quotients)),
-                            n_used=len(quotients), alpha=spec.alpha)
+                            n_used=len(quotients))

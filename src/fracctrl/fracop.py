@@ -54,14 +54,15 @@ class Grid:
                 and np.array_equal(self.omega_mask, other.omega_mask))
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"domain endpoints must satisfy a < b, got ({self.a}, {self.b})")
+        if not -np.inf < self.a < self.b < np.inf:
+            raise ValueError(f"domain endpoints must be finite with a < b, "
+                             f"got ({self.a}, {self.b})")
         if self.n < 1:
             raise ValueError(f"need at least one interior node, got n={self.n}")
         if self.nt < 1:
             raise ValueError(f"need at least one time step, got nt={self.nt}")
-        if not self.T > 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
         mask = np.asarray(self.omega_mask, dtype=bool)
         if mask.shape != (self.n,):
             raise ValueError(f"omega_mask must have length n={self.n}, got shape {mask.shape}")
@@ -122,11 +123,12 @@ def assemble_weights(s: float, n: int) -> np.ndarray:
     return g
 
 
-def normalization_constant(s: float, ndim: int = 1) -> float:
-    """Singular-integral normalization: s 4^s Gamma((2s+N)/2) / (pi^(N/2) Gamma(1-s))."""
+def normalization_constant(s: float) -> float:
+    """Singular-integral normalization in one dimension:
+    s 4^s Gamma(s + 1/2) / (pi^(1/2) Gamma(1-s))."""
     if not 0.0 < s < 1.0:
         raise InvalidOrderError(f"fractional order must lie in (0, 1), got s={s}")
-    return s * 4.0**s * gamma((2.0 * s + ndim) / 2.0) / (pi ** (ndim / 2.0) * gamma(1.0 - s))
+    return s * 4.0**s * gamma(s + 0.5) / (pi ** 0.5 * gamma(1.0 - s))
 
 
 class FractionalOperator:
@@ -205,22 +207,22 @@ def vstar_norm(op: FractionalOperator, f: np.ndarray) -> float:
     return sqrt(max(val, 0.0))
 
 
-def quadrature_oracle(u, x: float, s: float, eps: float, support=(-1.0, 1.0), u_xx=None) -> float:
+def quadrature_oracle(u, x: float, s: float, eps: float) -> float:
     """Ground-truth pointwise value of the fractional Laplacian at x.
 
     Evaluates C_{1,s} * [ P.V. far field + near-field Taylor correction ]:
-    the far field |x-y| > eps by adaptive quadrature over the support plus
-    the analytic tail where u vanishes, the near field |x-y| < eps by the
-    second-order correction -u''(x) eps^(2-2s)/(2-2s).
+    the far field |x-y| > eps by adaptive quadrature over the support (-1, 1)
+    plus the analytic tail where u vanishes, the near field |x-y| < eps by
+    the second-order correction -u''(x) eps^(2-2s)/(2-2s), with u''(x) from
+    a central difference of step 1e-4.
 
-    u must be defined on all of R (zero outside the support) and twice
-    differentiable near x.  u_xx optionally supplies u''(x); otherwise a
-    central difference with step 1e-4 is used.
+    u must be defined on all of R (zero outside (-1, 1)) and twice
+    differentiable near x.
     """
     if eps <= 0.0:
         raise ValueError(f"cutoff must be positive, got eps={eps}")
     cs = normalization_constant(s)
-    lo, hi = support
+    lo, hi = -1.0, 1.0
     if not lo < x < hi:
         raise ValueError(f"evaluation point {x} outside support ({lo}, {hi})")
     ux = float(u(x))
@@ -244,10 +246,7 @@ def quadrature_oracle(u, x: float, s: float, eps: float, support=(-1.0, 1.0), u_
     if not np.isfinite(far):
         raise ValueError("far-field integrand produced a non-finite value")
 
-    if u_xx is not None:
-        upp = float(u_xx(x))
-    else:
-        h = 1e-4
-        upp = (float(u(x + h)) - 2.0 * ux + float(u(x - h))) / h**2
+    h = 1e-4
+    upp = (float(u(x + h)) - 2.0 * ux + float(u(x - h))) / h**2
     near = -upp * eps ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return cs * (far + near)

@@ -198,25 +198,6 @@ class MultistartReport:
     def assertion_mode(self) -> bool:
         return self.condition is not None and self.condition.holds
 
-    @property
-    def uniqueness_passed(self) -> bool:
-        """Meaningful only in assertion mode (smallness condition holds)."""
-        return self.all_converged and self.max_pairwise <= self.threshold
-
-    def to_text(self) -> str:
-        lines = [
-            f"n_starts = {len(self.results)}",
-            f"all_converged = {self.all_converged}",
-            f"max_pairwise_distance = {self.max_pairwise:.17g}",
-            f"distance_threshold = {self.threshold:.17g}",
-            f"condition_lhs = {self.condition.lhs:.17g}",
-            f"condition_holds = {self.condition.holds}",
-            f"assertion_mode = {self.assertion_mode}",
-        ]
-        if self.assertion_mode:
-            lines.append(f"uniqueness_passed = {self.uniqueness_passed}")
-        return "\n".join(lines) + "\n"
-
 
 def multistart_uniqueness(spec: ProblemSpec, k_starts: int, opts: OptimOptions) -> MultistartReport:
     """Run projected gradient from k random admissible starts and compare.

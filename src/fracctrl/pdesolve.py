@@ -135,13 +135,6 @@ class ControlField:
             return max(abs(self.vmin), abs(self.vmax), self.sup)
         return self.sup
 
-    def is_admissible(self, tol: float = 0.0) -> bool:
-        if not self.has_box:
-            return False
-        return bool(
-            np.all(self.values >= self.vmin - tol) and np.all(self.values <= self.vmax + tol)
-        )
-
     def l2(self) -> float:
         return float(np.sqrt(self.grid.dx * self.grid.dt * np.sum(self.values**2)))
 
@@ -166,7 +159,7 @@ class StepSolver:
     The solver trusts its inputs: spec and v were checked for finite values
     when they were built, so each level is factorized in place by potrf and
     each solve is one potrs call, neither scanning for non-finite entries.
-    _march and solve_adjoint check the trajectory they assemble.
+    _march checks the trajectory it assembles.
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
@@ -224,18 +217,27 @@ def _check_finite(values: np.ndarray, levels, what: str) -> None:
 
 
 def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
-           source: np.ndarray | None, scale: np.ndarray | None) -> TimeField:
+           source: np.ndarray | None, scale: np.ndarray | None,
+           backward: bool = False) -> TimeField:
+    """Solve M_k x^k = x^(prev) + dt * scale_k * source_k level by level.
+
+    Forward, the levels run 1..nt from x^0 = init.  Backward (the adjoint
+    sweep, sourceless), they run nt..1 from init as the terminal datum, and
+    slot 0 repeats level 1.  The first non-finite level is named in march
+    order.
+    """
     grid = spec.grid
     dt = grid.dt
+    levels = range(grid.nt, 0, -1) if backward else range(1, grid.nt + 1)
     out = np.empty((grid.nt + 1, grid.n))
-    out[0] = init
     cur = np.asarray(init, dtype=float)
-    for k in range(1, grid.nt + 1):
+    for k in levels:
         rhs = cur if source is None else cur + dt * (
             source[k - 1] if scale is None else scale[k - 1] * source[k - 1])
         cur = steps.solve(k, rhs)
         out[k] = cur
-    _check_finite(out, range(1, grid.nt + 1), "state")
+    _check_finite(out, levels, "multiplier" if backward else "state")
+    out[0] = out[1] if backward else init
     return TimeField(out, grid)
 
 
@@ -272,20 +274,10 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> T
     identity with the linearized solver exact.
     """
     _check_stability(spec, v)
-    grid = spec.grid
     terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (grid.n,):
-        raise ValueError(f"terminal datum shape {terminal.shape} != {(grid.n,)}")
-    steps = StepSolver(spec, v)
-    out = np.empty((grid.nt + 1, grid.n))
-    cur = steps.solve(grid.nt, terminal)
-    out[grid.nt] = cur
-    for k in range(grid.nt - 1, 0, -1):
-        cur = steps.solve(k, cur)
-        out[k] = cur
-    _check_finite(out, range(grid.nt, 0, -1), "multiplier")
-    out[0] = out[1]
-    return TimeField(out, grid)
+    if terminal.shape != (spec.grid.n,):
+        raise ValueError(f"terminal datum shape {terminal.shape} != {(spec.grid.n,)}")
+    return _march(spec, StepSolver(spec, v), terminal, None, None, backward=True)
 
 
 def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,

@@ -24,10 +24,10 @@ class ProblemSpec:
     """Full control problem instance.
 
     s is the fractional order in (0, 1) and alpha > 0 the finite
-    regularization weight; vmin/vmax are the box bounds on the control
-    (vmax > vmin); rho0 and rho_target are values at the interior nodes.
-    rho0_sup/target_sup may declare the analytic sup-norms of the underlying
-    profiles; they default to the sampled max.
+    regularization weight; vmin/vmax are the finite box bounds on the
+    control (vmax > vmin); rho0 and rho_target are values at the interior
+    nodes.  rho0_sup/target_sup may declare the analytic sup-norms of the
+    underlying profiles; they default to the sampled max.
     """
 
     grid: Grid
@@ -47,8 +47,9 @@ class ProblemSpec:
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"regularization weight must be positive and finite, "
                              f"got alpha={self.alpha}")
-        if not self.vmax > self.vmin:
-            raise ValueError(f"control box needs vmax > vmin, got [{self.vmin}, {self.vmax}]")
+        if not -np.inf < self.vmin < self.vmax < np.inf:
+            raise ValueError(f"control box needs finite bounds with vmax > vmin, "
+                             f"got [{self.vmin}, {self.vmax}]")
         self.rho0 = np.asarray(self.rho0, dtype=float)
         self.rho_target = np.asarray(self.rho_target, dtype=float)
         for name, arr in (("rho0", self.rho0), ("rho_target", self.rho_target)):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import (
     check_coercivity,
-    cost_from_state,
+    cost,
     gradient,
     hessian_bilinear,
     kkt_residual,
@@ -150,10 +150,10 @@ class VerifyReport:
                 writer.writerow([c.name, f"{c.value:.17g}", thr, c.status])
 
 
-def _estimate_instance(n=64, nt=256) -> ProblemSpec:
-    grid = Grid.from_window(a=-1.0, b=1.0, n=n, window=(-0.5, 0.5), T=0.5, nt=nt)
+def _estimate_instance() -> ProblemSpec:
+    grid = Grid.from_window(a=-1.0, b=1.0, n=64, window=(-0.5, 0.5), T=0.5, nt=256)
     return ProblemSpec(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
-                       rho0=np.zeros(n), rho_target=np.zeros(n))
+                       rho0=np.zeros(64), rho_target=np.zeros(64))
 
 
 def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlField:
@@ -163,16 +163,10 @@ def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlFiel
     return ControlField(vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
 
 
-def _cost_at(spec: ProblemSpec, v: ControlField, values: np.ndarray) -> float:
-    """Discrete cost of the control with v's box and the given values."""
-    fld = v.like(values)
-    return cost_from_state(spec, fld, solve_state(spec, fld))
-
-
 def central_difference(spec: ProblemSpec, v: ControlField, w: np.ndarray, eps: float) -> float:
     """Directional derivative of the cost at v along w by central differences."""
-    plus = _cost_at(spec, v, v.values + eps * w)
-    minus = _cost_at(spec, v, v.values - eps * w)
+    plus = cost(spec, v.like(v.values + eps * w))
+    minus = cost(spec, v.like(v.values - eps * w))
     return (plus - minus) / (2 * eps)
 
 
@@ -288,11 +282,10 @@ def run_operator_suite() -> VerifyReport:
     return report
 
 
-def run_maximum_principle_suite(seed: int = 0, n_cases: int = 100,
-                                nt: int = 256) -> VerifyReport:
+def run_maximum_principle_suite(seed: int = 0, n_cases: int = 100) -> VerifyReport:
     report = VerifyReport()
     rng = np.random.default_rng(seed)
-    base = _estimate_instance(nt=nt)
+    base = _estimate_instance()
     worst_min = 0.0
     worst_step = 0.0
     worst_growth = 0.0
@@ -320,7 +313,7 @@ def run_maximum_principle_suite(seed: int = 0, n_cases: int = 100,
     report.add("state-sup-bound", worst_step <= 1.0 + 1e-12, worst_step, 1.0 + 1e-12,
                detail="worst ratio to the per-step envelope")
     report.add("state-sup-growth", worst_growth <= 1.05, worst_growth, 1.05,
-               detail=f"worst ratio to exp(theta T) sup|rho0| at nt={nt}")
+               detail=f"worst ratio to exp(theta T) sup|rho0| at nt={base.grid.nt}")
     return report
 
 
@@ -433,8 +426,8 @@ def run_derivative_suite(seed: int = 0, n_cases: int = 20) -> VerifyReport:
 
         h_ww = hessian_bilinear(spec, v, w, w, rho=rho, q=q)
         eps2 = 1e-3
-        sd = (_cost_at(spec, v, v.values + eps2 * w.values) - 2 * _cost_at(spec, v, v.values)
-              + _cost_at(spec, v, v.values - eps2 * w.values)) / eps2**2
+        sd = (cost(spec, v.like(v.values + eps2 * w.values)) - 2 * cost(spec, v)
+              + cost(spec, v.like(v.values - eps2 * w.values))) / eps2**2
         worst_hfd = max(worst_hfd, abs(h_ww - sd) / abs(h_ww))
 
         eps_grid = np.array([1e-2, 1e-3, 1e-4])
@@ -564,7 +557,6 @@ def sampled_vi_min(spec: ProblemSpec, u: ControlField, g: np.ndarray,
 
 
 def run_optimality_suite(spec: ProblemSpec | None = None,
-                         opts: OptimOptions | None = None,
                          seed: int = 0,
                          vi_samples: int = 100,
                          coercivity_samples: int = 64,
@@ -574,8 +566,7 @@ def run_optimality_suite(spec: ProblemSpec | None = None,
     report = VerifyReport()
     if spec is None:
         spec = benchmark_problem()
-    if opts is None:
-        opts = OptimOptions(kkt_tol=1e-8, seed=seed)
+    opts = OptimOptions(kkt_tol=1e-8)
     rng = np.random.default_rng(seed + 1)
 
     start = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
@@ -627,7 +618,7 @@ def run_optimality_suite(spec: ProblemSpec | None = None,
         dist = spec.control_norm(cand.values - result.u.values)
         if dist <= 1e-12:
             continue
-        j_cand = cost_from_state(spec, cand, solve_state(spec, cand))
+        j_cand = cost(spec, cand)
         growth_min = min(growth_min, j_cand - j_star)
         beta_hat = min(beta_hat, (j_cand - j_star) / dist**2)
     report.add("quadratic-growth", growth_min >= -1e-10, growth_min, -1e-10,
@@ -687,6 +678,11 @@ class SuiteConfig:
     spec: ProblemSpec | None = None
 
     def __post_init__(self):
+        if not self.suites:
+            raise ValueError("suites must name at least one suite")
+        repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
+        if repeated:
+            raise ValueError(f"suites names {', '.join(repeated)} more than once")
         for name in ("mp_cases", "estimate_cases", "derivative_cases", "lipschitz_pairs",
                      "vi_samples", "coercivity_samples", "growth_samples", "starts"):
             count = getattr(self, name)

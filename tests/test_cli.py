@@ -306,7 +306,10 @@ class TestBadInput:
     @pytest.mark.parametrize("line,message", [("problem.s = 1.5", "fractional order"),
                                               ("problem.s = 0", "fractional order"),
                                               ("problem.s = nan", "fractional order"),
-                                              ("problem.alpha = inf", "regularization weight")])
+                                              ("problem.alpha = inf", "regularization weight"),
+                                              ("problem.M = inf", "control box"),
+                                              ("problem.m = -inf", "control box"),
+                                              ("problem.T = inf", "horizon")])
     @pytest.mark.parametrize("command", ["solve", "optimize", "verify", "gradcheck"])
     def test_bad_order_or_weight(self, tmp_path, capsys, line, message, command):
         config = tmp_path / "run.cfg"
@@ -316,6 +319,21 @@ class TestBadInput:
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suites,message", [("", "at least one suite"),
+                                                ("operator,operator", "operator more than once")])
+    def test_empty_or_repeated_suite_list(self, tmp_path, capsys, suites, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + f"verify.suites = {suites}\n")
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "adjoint", "optimize"])
+    def test_seed_only_on_commands_that_read_it(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -51,6 +51,9 @@ class TestGrid:
         dict(a=-1.0, b=1.0, n=4, omega_mask=np.zeros(4, bool), T=1.0, nt=2),
         dict(a=-1.0, b=1.0, n=4, omega_mask=np.ones(4, bool), T=1.0, nt=0),
         dict(a=-1.0, b=1.0, n=4, omega_mask=np.ones(3, bool), T=1.0, nt=2),
+        dict(a=-np.inf, b=1.0, n=4, omega_mask=np.ones(4, bool), T=1.0, nt=2),
+        dict(a=-1.0, b=np.inf, n=4, omega_mask=np.ones(4, bool), T=1.0, nt=2),
+        dict(a=-1.0, b=1.0, n=4, omega_mask=np.ones(4, bool), T=np.inf, nt=2),
     ])
     def test_invalid_grids_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ class TestProjectedGradient:
                                  OptimOptions(kkt_tol=1e-9))
         assert res.status == "converged"
         assert kkt_residual(spec, res.u).residual <= 1e-9
-        assert res.u.is_admissible()
+        assert np.all((res.u.values >= spec.vmin) & (res.u.values <= spec.vmax))
         # Armijo guarantees monotone cost
         diffs = np.diff(res.j_history)
         assert np.all(diffs <= 1e-14 * max(abs(j) for j in res.j_history))
@@ -94,7 +94,7 @@ class TestProjectedGradient:
         spec = small_benchmark()
         start = ControlField(5.0 * np.ones((spec.grid.nt, spec.grid.n_omega)), spec.grid)
         res = projected_gradient(spec, start, OptimOptions())
-        assert res.u.is_admissible()
+        assert np.all((res.u.values >= spec.vmin) & (res.u.values <= spec.vmax))
         assert res.status == "converged"
 
 
@@ -150,15 +150,12 @@ class TestMultistart:
         assert report.assertion_mode
         assert report.all_converged
         assert report.max_pairwise <= report.threshold
-        assert report.uniqueness_passed
-        assert "uniqueness_passed = True" in report.to_text()
 
     def test_large_data_observational(self):
         rng = np.random.default_rng(43)
         spec = make_spec(T=2.0, nt=120, rho0=np.full(18, 1.0), target=np.full(18, 1.0))
         report = multistart_uniqueness(spec, 2, OptimOptions(max_iters=5, seed=5))
         assert not report.assertion_mode
-        assert "uniqueness_passed" not in report.to_text()
 
     def test_deterministic_under_seed(self):
         spec = small_benchmark()

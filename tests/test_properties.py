@@ -1,7 +1,9 @@
 """Property tests of the step solver over random orders, grids, boxes and controls.
 
 Every instance keeps dt*theta <= 1/2, so each step matrix is an M-matrix and
-the forward and adjoint sweeps share its exact Cholesky factors.
+the forward and adjoint sweeps share its exact Cholesky factors.  The last
+property covers the CLI config text: serializing then parsing any valid
+config gives it back.
 """
 
 import tempfile
@@ -12,7 +14,15 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracctrl.cli import build_spec, main, parse_config
+from fracctrl.cli import (
+    OptimizerConfig,
+    ProblemConfig,
+    RunConfig,
+    build_spec,
+    main,
+    parse_config,
+    serialize_config,
+)
 from fracctrl.pdesolve import (
     ControlField,
     export_control_csv,
@@ -21,7 +31,7 @@ from fracctrl.pdesolve import (
     solve_linearized,
     solve_state,
 )
-from fracctrl.verify import sup_envelope_ratios
+from fracctrl.verify import SUITES, SuiteConfig, sup_envelope_ratios
 
 
 @st.composite
@@ -109,3 +119,52 @@ def test_control_csv_round_trip_is_exact(instance):
         assert code == 0
         export_trajectory_csv(solve_state(spec, v), tmp / "rho.csv")
         assert (tmp / "out" / "rho.csv").read_bytes() == (tmp / "rho.csv").read_bytes()
+
+
+def _finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+def _open_unit():
+    return _finite(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _positive():
+    return _finite(0.0, exclude_min=True)
+
+
+def _ordered_pair():
+    return st.tuples(_finite(), _finite()).filter(lambda p: p[0] < p[1])
+
+
+_PROFILES = st.one_of(st.just("zero"), _finite().map(lambda a: f"bump({a!r})"),
+                      st.integers(1, 1000).map(lambda k: f"eigen({k})"),
+                      st.sampled_from(["csv(rho0.txt)", "csv(data/target-1.csv)"]))
+
+
+@st.composite
+def run_configs(draw):
+    """A random valid value for every config key."""
+    (a, b), (omega_a, omega_b), (m, M) = (draw(_ordered_pair()) for _ in range(3))
+    problem = ProblemConfig(a=a, b=b, n=draw(st.integers(1, 10**6)), s=draw(_open_unit()),
+                            T=draw(_positive()), nt=draw(st.integers(1, 10**6)),
+                            omega_a=omega_a, omega_b=omega_b, alpha=draw(_positive()),
+                            m=m, M=M, rho0=draw(_PROFILES), rhod=draw(_PROFILES))
+    optimizer = OptimizerConfig(
+        max_iters=draw(st.integers(0, 10**6)), kkt_tol=draw(_positive()),
+        armijo_c1=draw(_open_unit()), backtrack=draw(_open_unit()),
+        sigma0=draw(st.none() | _positive()),
+        fp_damping=draw(_finite(0.0, 1.0, exclude_min=True)),
+        seed=draw(st.integers(0, 2**63)), method=draw(st.sampled_from(["pg", "fp"])),
+        c_user=draw(_finite(0.0)))
+    counts = {name: draw(st.integers(1, 10**6))
+              for name in ("mp_cases", "estimate_cases", "derivative_cases", "lipschitz_pairs",
+                           "vi_samples", "coercivity_samples", "growth_samples", "starts")}
+    suites = tuple(draw(st.lists(st.sampled_from(list(SUITES)), min_size=1, unique=True)))
+    verify = SuiteConfig(seed=draw(st.integers(0, 2**63)), suites=suites, **counts)
+    return RunConfig(problem=problem, optimizer=optimizer, verify=verify)
+
+
+@given(run_configs())
+def test_config_round_trip(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
