@@ -190,7 +190,7 @@ class MultistartReport:
 
     results: list[OptimResult] = field(repr=False, default_factory=list)
     max_pairwise: float = 0.0
-    threshold: float = 0.0
+    tolerance: float = 0.0
     condition: ConditionReport | None = None
     all_converged: bool = False
 
@@ -222,7 +222,7 @@ def multistart_uniqueness(spec: ProblemSpec, k_starts: int, opts: OptimOptions) 
     return MultistartReport(
         results=results,
         max_pairwise=max_pair,
-        threshold=1e-6 * (spec.vmax - spec.vmin) * float(np.sqrt(measure_qt)),
+        tolerance=1e-6 * (spec.vmax - spec.vmin) * float(np.sqrt(measure_qt)),
         condition=uniqueness_condition(spec),
         all_converged=all(r.status == "converged" for r in results),
     )

@@ -32,7 +32,12 @@ from fracctrl.optimize import (
 )
 from fracctrl.pdesolve import ControlField, constant_control, solve_linearized, solve_state
 from fracctrl.problem import ProblemSpec, benchmark_problem
-from fracctrl.verify import run_estimate_suite, run_lipschitz_suite, sampled_vi_min
+from fracctrl.verify import (
+    SuiteConfig,
+    run_estimate_suite,
+    run_lipschitz_suite,
+    sampled_vi_min,
+)
 
 
 def report(num, name, ok, detail):
@@ -128,7 +133,7 @@ def test_criterion_04_sup_norm_bound():
 
 
 def test_criterion_05_energy_estimates():
-    rep = run_estimate_suite(seed=105, n_cases=50)
+    rep = run_estimate_suite(SuiteConfig(seed=105, estimate_cases=50))
     energy = [c for c in rep.checks if c.name in
               ("shifted-energy-sup", "shifted-energy-dissipation",
                "sourced-energy-sup", "sourced-energy-dissipation")]
@@ -246,14 +251,14 @@ def test_criterion_10_second_order_conditions():
 def test_criterion_11_local_uniqueness():
     spec = benchmark_problem()
     rep = multistart_uniqueness(spec, 8, OptimOptions(kkt_tol=1e-8, seed=112))
-    ok = rep.assertion_mode and rep.all_converged and rep.max_pairwise <= rep.threshold
+    ok = rep.assertion_mode and rep.all_converged and rep.max_pairwise <= rep.tolerance
     report(11, "local uniqueness", ok,
            f"8 starts, max pairwise distance {rep.max_pairwise:.2e} "
-           f"<= {rep.threshold:.2e}")
+           f"<= {rep.tolerance:.2e}")
 
 
 def test_criterion_12_lipschitz_stability():
-    rep = run_lipschitz_suite(seed=113, n_pairs=50)
+    rep = run_lipschitz_suite(SuiteConfig(seed=113, lipschitz_pairs=50))
     detail = "; ".join(f"{c.name}: value={c.value:.3g} ({c.detail})" for c in rep.checks)
     report(12, "difference-ratio stability and scaling", rep.passed, detail)
 

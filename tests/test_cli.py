@@ -321,7 +321,8 @@ class TestBadInput:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("suites,message", [("", "at least one suite"),
-                                                ("operator,operator", "operator more than once")])
+                                                ("operator,operator", "operator more than once"),
+                                                ("operator,no-such-suite", "no-such-suite")])
     def test_empty_or_repeated_suite_list(self, tmp_path, capsys, suites, message):
         config = tmp_path / "run.cfg"
         config.write_text(TINY + f"verify.suites = {suites}\n")
@@ -334,6 +335,12 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "3", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_out_only_on_commands_that_write_files(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -149,7 +149,7 @@ class TestMultistart:
         report = multistart_uniqueness(spec, 4, OptimOptions(kkt_tol=1e-9, seed=4))
         assert report.assertion_mode
         assert report.all_converged
-        assert report.max_pairwise <= report.threshold
+        assert report.max_pairwise <= report.tolerance
 
     def test_large_data_observational(self):
         rng = np.random.default_rng(43)
