@@ -11,7 +11,7 @@ criterion.
 from .control import (
     CoercivityReport,
     ConditionReport,
-    KKTReport,
+    Evaluation,
     active_set,
     check_coercivity,
     cost,

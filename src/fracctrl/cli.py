@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import cost_from_state, gradient
+from .control import cost_from_state, gradient, ssc_smallness, uniqueness_condition
 from .fracop import Grid, l2_norm
-from .optimize import OptimOptions, OptimResult, fixed_point, projected_gradient
+from .optimize import OptimOptions, fixed_point, projected_gradient
 from .pdesolve import (
     ControlField,
     SolverError,
@@ -308,13 +308,22 @@ def cmd_optimize(args) -> int:
     spec = build_spec(cfg.problem)
     start = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
     driver = projected_gradient if cfg.optimizer.method == "pg" else fixed_point
-    result: OptimResult = driver(spec, start, cfg.optimizer)
+    result = driver(spec, start, cfg.optimizer)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     export_control_csv(result.u, out / "u.csv")
     export_trajectory_csv(result.rho, out / "rho.csv")
     export_trajectory_csv(result.q, out / "q.csv")
-    (out / "summary.txt").write_text(result.summary_text(spec, c_user=cfg.optimizer.c_user))
+    c_user = cfg.optimizer.c_user
+    uniq = uniqueness_condition(spec)
+    ssc = ssc_smallness(spec, c_user)
+    _write_kv(out / "summary.txt", [
+        ("status", result.status), ("iterations", result.iterations),
+        ("cost", result.j_final), ("kkt_residual", result.kkt_final),
+        ("control_l2", result.u.l2()), ("control_sup", result.u.sup),
+        ("uniqueness_lhs", uniq.lhs), ("uniqueness_margin", uniq.margin),
+        ("uniqueness_holds", uniq.holds), ("ssc_constant", c_user),
+        ("ssc_lhs", ssc.lhs), ("ssc_holds", ssc.holds)])
     return 0 if result.status == "converged" else 4
 
 

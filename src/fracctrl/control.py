@@ -42,43 +42,6 @@ def cost(spec: ProblemSpec, v: ControlField) -> float:
     return cost_from_state(spec, v, solve_state(spec, v))
 
 
-def gradient(spec: ProblemSpec, v: ControlField, rho: TimeField | None = None,
-             q: TimeField | None = None):
-    """Gradient field on the window plus the state and adjoint trajectories.
-
-    Returns (g, rho, q) with g = alpha*v + rho*q control-shaped; the identity
-    dJ/deps J(v + eps*w) = dx*dt*sum(g*w) is exact for the discrete cost.
-    Trajectories already computed for v may be passed; only the missing
-    solves run.
-    """
-    if rho is None:
-        rho = solve_state(spec, v)
-    if q is None:
-        q = solve_adjoint(spec, v, rho.final - spec.rho_target)
-    g = spec.alpha * v.values + rho.restrict_omega() * q.restrict_omega()
-    return g, rho, q
-
-
-def hessian_bilinear(spec: ProblemSpec, u: ControlField, w: ControlField, d: ControlField,
-                     rho: TimeField | None = None, q: TimeField | None = None) -> float:
-    """Second derivative of the discrete cost along the direction pair (w, d).
-
-    Exact for the discrete objective and symmetric in (w, d) by construction.
-    The state and adjoint for u may be passed to avoid repeated solves; when
-    d is w the one linearized solve serves both directions.
-    """
-    if rho is None or q is None:
-        _, rho, q = gradient(spec, u, rho=rho, q=q)
-    y_w = solve_linearized(spec, u, w, rho)
-    y_d = y_w if d is w else solve_linearized(spec, u, d, rho)
-    q_w = q.restrict_omega()
-    cross = spec.control_dot(d.values * y_w.restrict_omega()
-                             + w.values * y_d.restrict_omega(), q_w)
-    terminal = spec.grid.dx * float(np.dot(y_w.final, y_d.final))
-    reg = spec.alpha * spec.control_dot(d.values, w.values)
-    return cross + terminal + reg
-
-
 def project(spec: ProblemSpec, raw) -> ControlField:
     """Pointwise clip onto the admissible box; idempotent and 1-Lipschitz in L2."""
     values = raw.values if isinstance(raw, ControlField) else np.asarray(raw, dtype=float)
@@ -86,33 +49,71 @@ def project(spec: ProblemSpec, raw) -> ControlField:
     return ControlField(clipped, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
 
 
-def fixed_point_target(spec: ProblemSpec, rho: TimeField, q: TimeField) -> ControlField:
-    """clip(-rho*q/alpha): the projection form of the first-order condition."""
-    raw = -rho.restrict_omega() * q.restrict_omega() / spec.alpha
-    return project(spec, raw)
-
-
-def projection_residual(spec: ProblemSpec, u: ControlField, rho: TimeField,
-                        q: TimeField) -> tuple[float, ControlField]:
-    """||u - clip(-rho*q/alpha)|| in L2(omega_T), and the clipped target."""
-    target = fixed_point_target(spec, rho, q)
-    return spec.control_norm(u.values - target.values), target
-
-
 @dataclass
-class KKTReport:
-    """Gradient field on the window and the first-order residual
-    ||u - clip(-rho*q/alpha)|| in L2(omega_T)."""
+class Evaluation:
+    """A control u with its state rho, adjoint q, gradient field
+    g = alpha*u + rho*q on the window, cost j, projection image
+    clip(-rho*q/alpha) and first-order residual ||u - image|| in
+    L2(omega_T)."""
 
+    u: ControlField
+    rho: TimeField
+    q: TimeField
     g: np.ndarray
+    j: float
+    image: ControlField
     residual: float
+
+    @property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.j) and np.all(np.isfinite(self.g)))
 
 
 def kkt_residual(spec: ProblemSpec, u: ControlField,
-                 rho: TimeField | None = None, q: TimeField | None = None) -> KKTReport:
-    g, rho, q = gradient(spec, u, rho=rho, q=q)
-    residual, _ = projection_residual(spec, u, rho, q)
-    return KKTReport(g=g, residual=residual)
+                 rho: TimeField | None = None, q: TimeField | None = None) -> Evaluation:
+    """Evaluate u: every quantity the optimizers, the Hessian and verify read.
+
+    Trajectories already computed for u may be passed; only the missing
+    solves run.
+    """
+    if rho is None:
+        rho = solve_state(spec, u)
+    if q is None:
+        q = solve_adjoint(spec, u, rho.final - spec.rho_target)
+    # the projection form of the first-order condition: u = image at a KKT point
+    image = project(spec, -rho.restrict_omega() * q.restrict_omega() / spec.alpha)
+    return Evaluation(u=u, rho=rho, q=q,
+                      g=spec.alpha * u.values + rho.restrict_omega() * q.restrict_omega(),
+                      j=cost_from_state(spec, u, rho), image=image,
+                      residual=spec.control_norm(u.values - image.values))
+
+
+def gradient(spec: ProblemSpec, v: ControlField):
+    """Gradient field on the window plus the state and adjoint trajectories.
+
+    Returns (g, rho, q) with g = alpha*v + rho*q control-shaped; the identity
+    dJ/deps J(v + eps*w) = dx*dt*sum(g*w) is exact for the discrete cost.
+    """
+    e = kkt_residual(spec, v)
+    return e.g, e.rho, e.q
+
+
+def hessian_bilinear(spec: ProblemSpec, e: Evaluation, w: ControlField,
+                     d: ControlField) -> float:
+    """Second derivative of the discrete cost at the evaluated control e.u
+    along the direction pair (w, d).
+
+    Exact for the discrete objective and symmetric in (w, d) by construction.
+    When d is w the one linearized solve serves both directions.
+    """
+    y_w = solve_linearized(spec, e.u, w, e.rho)
+    y_d = y_w if d is w else solve_linearized(spec, e.u, d, e.rho)
+    q_w = e.q.restrict_omega()
+    cross = spec.control_dot(d.values * y_w.restrict_omega()
+                             + w.values * y_d.restrict_omega(), q_w)
+    terminal = spec.grid.dx * float(np.dot(y_w.final, y_d.final))
+    reg = spec.alpha * spec.control_dot(d.values, w.values)
+    return cross + terminal + reg
 
 
 def active_set(g: np.ndarray, tau: float) -> np.ndarray:
@@ -189,10 +190,11 @@ class CoercivityReport:
     n_used: int
 
 
-def check_coercivity(spec: ProblemSpec, u: ControlField, tau: float, n_samples: int,
+def check_coercivity(spec: ProblemSpec, e: Evaluation, tau: float, n_samples: int,
                      seed: int = 0) -> CoercivityReport:
-    """Sample random directions projected into the tau-critical cone and
-    report the minimum Hessian Rayleigh quotient J''(u)[v,v] / ||v||^2.
+    """Sample random directions projected into the tau-critical cone of the
+    evaluated control e.u and report the minimum Hessian Rayleigh quotient
+    J''(u)[v,v] / ||v||^2.
 
     The activity threshold is floored at 1e-6 times the natural field
     magnitude alpha*theta + sup|rho| sup|q|: at a numerically converged
@@ -200,20 +202,19 @@ def check_coercivity(spec: ProblemSpec, u: ControlField, tau: float, n_samples: 
     exact zero, and treating that noise as strong activity would collapse
     the cone to {0}.
     """
-    g, rho, q = gradient(spec, u)
-    tau_eff = max(tau, 1e-6 * (spec.alpha * spec.theta + rho.linf() * q.linf()))
+    tau_eff = max(tau, 1e-6 * (spec.alpha * spec.theta + e.rho.linf() * e.q.linf()))
     rng = np.random.default_rng(seed)
     quotients = []
     for _ in range(n_samples):
-        raw = rng.standard_normal(u.values.shape)
-        proj = critical_cone_project(spec, u, tau_eff, raw, g)
+        raw = rng.standard_normal(e.u.values.shape)
+        proj = critical_cone_project(spec, e.u, tau_eff, raw, e.g)
         norm = spec.control_norm(proj)
         if norm < 1e-10:
             continue
         direction = ControlField(proj, spec.grid)
-        value = hessian_bilinear(spec, u, direction, direction, rho=rho, q=q)
+        value = hessian_bilinear(spec, e, direction, direction)
         quotients.append(value / norm**2)
     if not quotients:
         return CoercivityReport(status="inconclusive", min_quotient=np.nan, n_used=0)
-    return CoercivityReport(status="ok", min_quotient=float(min(quotients)),
+    return CoercivityReport(status="ok", min_quotient=float(np.min(quotients)),
                             n_used=len(quotients))

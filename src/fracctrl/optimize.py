@@ -15,11 +15,10 @@ import numpy as np
 
 from .control import (
     ConditionReport,
+    Evaluation,
     cost_from_state,
-    gradient,
+    kkt_residual,
     project,
-    projection_residual,
-    ssc_smallness,
     uniqueness_condition,
 )
 from .pdesolve import ControlField, TimeField, solve_state
@@ -59,40 +58,80 @@ class OptimOptions:
 
 @dataclass
 class OptimResult:
-    u: ControlField
-    rho: TimeField
-    q: TimeField
+    """The final evaluated iterate, the cost and KKT residual of every
+    iterate from the projected start on, and how the run ended."""
+
+    final: Evaluation
     j_history: list[float]
     kkt_history: list[float]
-    iterations: int
     status: str  # converged | max_iters | stalled | failed
 
     @property
+    def u(self) -> ControlField:
+        return self.final.u
+
+    @property
+    def rho(self) -> TimeField:
+        return self.final.rho
+
+    @property
+    def q(self) -> TimeField:
+        return self.final.q
+
+    @property
     def j_final(self) -> float:
-        return self.j_history[-1]
+        return self.final.j
 
     @property
     def kkt_final(self) -> float:
-        return self.kkt_history[-1]
+        return self.final.residual
 
-    def summary_text(self, spec: ProblemSpec, c_user: float = 0.0) -> str:
-        uniq = uniqueness_condition(spec)
-        ssc = ssc_smallness(spec, c_user)
-        lines = [
-            f"status = {self.status}",
-            f"iterations = {self.iterations}",
-            f"cost = {self.j_final:.17g}",
-            f"kkt_residual = {self.kkt_final:.17g}",
-            f"control_l2 = {self.u.l2():.17g}",
-            f"control_sup = {self.u.sup:.17g}",
-            f"uniqueness_lhs = {uniq.lhs:.17g}",
-            f"uniqueness_margin = {uniq.margin:.17g}",
-            f"uniqueness_holds = {uniq.holds}",
-            f"ssc_constant = {c_user:.17g}",
-            f"ssc_lhs = {ssc.lhs:.17g}",
-            f"ssc_holds = {ssc.holds}",
-        ]
-        return "\n".join(lines) + "\n"
+    @property
+    def iterations(self) -> int:
+        """Updates that produced the final iterate."""
+        return len(self.j_history) - 1
+
+
+def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> OptimResult:
+    """Evaluate the projected start, then replace the iterate by
+    step(spec, e, opts) until it is non-finite, meets kkt_tol or spends
+    max_iters updates, or until step returns None (stalled)."""
+    e = kkt_residual(spec, project(spec, v0))
+    j_hist, kkt_hist = [e.j], [e.residual]
+    status = None
+    while status is None:
+        if not e.finite:
+            status = "failed"
+        elif e.residual <= opts.kkt_tol:
+            status = "converged"
+        elif len(j_hist) > opts.max_iters:
+            status = "max_iters"
+        elif (nxt := step(spec, e, opts)) is None:
+            status = "stalled"
+        else:
+            e = nxt
+            j_hist.append(e.j)
+            kkt_hist.append(e.residual)
+    return OptimResult(e, j_hist, kkt_hist, status)
+
+
+def _armijo_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions) -> Evaluation | None:
+    """The next projected-gradient iterate, or None when no trial passes Armijo."""
+    sigma = opts.step0(spec)
+    for _ in range(MAX_BACKTRACKS):
+        cand = project(spec, e.u.values - sigma * e.g)
+        predicted = opts.armijo_c1 * spec.control_dot(e.g, e.u.values - cand.values)
+        rho_c = solve_state(spec, cand)
+        j_c = cost_from_state(spec, cand, rho_c)
+        if np.isfinite(j_c) and j_c <= e.j - predicted:
+            if np.array_equal(cand.values, e.u.values):
+                # backtracking shrank the step below float resolution: the
+                # cost decrease is under the solver noise floor, so the
+                # iterate froze
+                return None
+            return kkt_residual(spec, cand, rho=rho_c)
+        sigma *= opts.backtrack
+    return None
 
 
 def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> OptimResult:
@@ -101,87 +140,26 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
     Steps v+ = clip(v - sigma*g) with sigma backtracked until
     J(v+end) <= J(v) - c1 * <g, v - v+> in L2(omega_T).
     """
-    v = project(spec, v0)
-    g, rho, q = gradient(spec, v)
-    j_cur = cost_from_state(spec, v, rho)
-    res, _ = projection_residual(spec, v, rho, q)
-    j_hist, kkt_hist = [j_cur], [res]
-    status = "max_iters"
-    iterations = 0
+    return _iterate(spec, v0, opts, _armijo_step)
 
-    if not np.isfinite(j_cur) or not np.all(np.isfinite(g)):
-        return OptimResult(v, rho, q, j_hist, kkt_hist, 0, "failed")
-    if res <= opts.kkt_tol:
-        return OptimResult(v, rho, q, j_hist, kkt_hist, 0, "converged")
 
-    for it in range(1, opts.max_iters + 1):
-        sigma = opts.step0(spec)
-        accepted = None
-        for _ in range(MAX_BACKTRACKS):
-            cand = project(spec, v.values - sigma * g)
-            predicted = opts.armijo_c1 * spec.control_dot(g, v.values - cand.values)
-            rho_c = solve_state(spec, cand)
-            j_c = cost_from_state(spec, cand, rho_c)
-            if np.isfinite(j_c) and j_c <= j_cur - predicted:
-                accepted = (cand, rho_c, j_c)
-                break
-            sigma *= opts.backtrack
-        if accepted is None:
-            status = "stalled"
-            break
-        if np.array_equal(accepted[0].values, v.values):
-            # backtracking shrank the step below float resolution: the cost
-            # decrease is under the solver noise floor, so the iterate froze
-            status = "stalled"
-            break
-        v, rho, j_cur = accepted
-        g, _, q = gradient(spec, v, rho=rho)
-        res, _ = projection_residual(spec, v, rho, q)
-        j_hist.append(j_cur)
-        kkt_hist.append(res)
-        iterations = it
-        if not np.isfinite(j_cur) or not np.all(np.isfinite(g)):
-            status = "failed"
-            break
-        if res <= opts.kkt_tol:
-            status = "converged"
-            break
-    return OptimResult(v, rho, q, j_hist, kkt_hist, iterations, status)
+def _fixed_point_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions) -> Evaluation | None:
+    """The next damped fixed-point iterate, or None when the step is below 1e-14."""
+    new_vals = (1.0 - opts.fp_damping) * e.u.values + opts.fp_damping * e.image.values
+    if spec.control_norm(new_vals - e.u.values) < 1e-14:
+        return None
+    return kkt_residual(spec, ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax))
 
 
 def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> OptimResult:
     """Damped iteration of v+ = (1-sigma)v + sigma*clip(-rho(v)q(v)/alpha).
 
     Stops on the KKT residual or on a stalled step; J is reported as
-    observed, without a monotonicity guarantee.
+    observed, without a monotonicity guarantee.  A step shorter than 1e-14
+    in L2(omega_T) is not taken: the run ends "stalled" and returns the last
+    evaluated iterate, and `iterations` counts the updates that produced it.
     """
-    v = project(spec, v0)
-    j_hist, kkt_hist = [], []
-    status = "max_iters"
-    iterations = 0
-    rho = q = None
-    for it in range(opts.max_iters + 1):
-        g, rho, q = gradient(spec, v)
-        j_hist.append(cost_from_state(spec, v, rho))
-        res, target = projection_residual(spec, v, rho, q)
-        kkt_hist.append(res)
-        iterations = it
-        if not np.isfinite(j_hist[-1]) or not np.all(np.isfinite(g)):
-            status = "failed"
-            break
-        if res <= opts.kkt_tol:
-            status = "converged"
-            break
-        if it == opts.max_iters:
-            break
-        new_vals = (1.0 - opts.fp_damping) * v.values + opts.fp_damping * target.values
-        step = spec.control_norm(new_vals - v.values)
-        v = ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
-        if step < 1e-14:
-            status = "stalled"
-            iterations = it + 1
-            break
-    return OptimResult(v, rho, q, j_hist, kkt_hist, iterations, status)
+    return _iterate(spec, v0, opts, _fixed_point_step)
 
 
 @dataclass
@@ -217,7 +195,7 @@ def multistart_uniqueness(spec: ProblemSpec, k_starts: int, opts: OptimOptions) 
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
             dist = spec.control_norm(results[i].u.values - results[j].u.values)
-            max_pair = max(max_pair, dist)
+            max_pair = np.maximum(max_pair, dist)
     measure_qt = spec.grid.omega_measure * spec.grid.T
     return MultistartReport(
         results=results,

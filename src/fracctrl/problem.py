@@ -58,7 +58,7 @@ class ProblemSpec:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         if self.rho0_sup is None:
-            self.rho0_sup = float(np.max(np.abs(self.rho0))) if self.grid.n else 0.0
+            self.rho0_sup = float(np.max(np.abs(self.rho0)))
         if self.target_sup is None:
             self.target_sup = float(np.max(np.abs(self.rho_target)))
 

@@ -19,7 +19,6 @@ import numpy as np
 from .control import (
     check_coercivity,
     cost,
-    gradient,
     hessian_bilinear,
     kkt_residual,
     project,
@@ -295,8 +294,8 @@ def run_operator_suite(cfg: SuiteConfig) -> VerifyReport:
     for n, s in ((64, 0.25), (128, 0.5), (256, 0.75), (256, 0.5)):
         grid = Grid.from_window(-1.0, 1.0, n, (-1.0, 1.0), 1.0, 1)
         op = assemble_operator(grid, s)
-        sym_err = max(sym_err, float(np.max(np.abs(op.matrix - op.matrix.T))))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(op.matrix).min()))
+        sym_err = np.maximum(sym_err, np.max(np.abs(op.matrix - op.matrix.T)))
+        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(op.matrix).min())
     report.add("operator-symmetry", sym_err, upper=0.0)
     # the smallest positive float as a closed lower bound: min_eig > 0 exactly
     report.add("operator-positive-definite", min_eig, lower=math.ulp(0.0),
@@ -341,9 +340,9 @@ def run_operator_suite(cfg: SuiteConfig) -> VerifyReport:
             for p in points:
                 i = int(round((p - grid.a) / grid.dx)) - 1
                 ref_val = quadrature_oracle(test_u, grid.nodes[i], s, grid.dx / 4)
-                worst = max(worst, abs(au[i] - ref_val))
+                worst = np.maximum(worst, abs(au[i] - ref_val))
             envelope = 0.5 * grid.dx ** min(2 - 2 * s, 1.0)
-            worst_rel = max(worst_rel, worst / envelope)
+            worst_rel = np.maximum(worst_rel, worst / envelope)
             worsts.append(worst)
         not_falling += sum(not b < a for a, b in zip(worsts, worsts[1:]))
     report.add("operator-oracle-agreement", worst_rel, upper=1.0,
@@ -359,9 +358,9 @@ def run_operator_suite(cfg: SuiteConfig) -> VerifyReport:
     best = 0.0
     for _ in range(1000):
         u = rng.standard_normal(32)
-        best = max(best, grid.dx * float(np.dot(f, u)) / v_seminorm(op, u))
+        best = np.maximum(best, grid.dx * float(np.dot(f, u)) / v_seminorm(op, u))
     u_star = op.solve(f)
-    best = max(best, grid.dx * float(np.dot(f, u_star)) / v_seminorm(op, u_star))
+    best = np.maximum(best, grid.dx * float(np.dot(f, u_star)) / v_seminorm(op, u_star))
     report.add("norm-duality", abs(best - target) / target, upper=1e-6)
     report.add("norm-duality-sup-bound", best, upper=target * (1 + 1e-12),
                detail="largest sampled pairing; the bound is the dual norm times 1 + 1e-12")
@@ -390,10 +389,10 @@ def run_maximum_principle_suite(cfg: SuiteConfig) -> VerifyReport:
             v = random_admissible(spec, rng)
         rho = solve_state(spec, v)
         sup0 = float(np.max(np.abs(rho0)))
-        worst_min = min(worst_min, float(rho.values.min()) / sup0)
+        worst_min = np.minimum(worst_min, rho.values.min() / sup0)
         step, growth = sup_envelope_ratios(rho, v.theta)
-        worst_step = max(worst_step, step)
-        worst_growth = max(worst_growth, growth)
+        worst_step = np.maximum(worst_step, step)
+        worst_growth = np.maximum(worst_growth, growth)
     report.add("state-nonnegativity", worst_min, lower=-1e-12,
                detail=f"{cfg.mp_cases} cases incl. alternating-corner control; "
                       f"value is min rho / sup|rho0|")
@@ -425,16 +424,17 @@ def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
         data = source_vstar_norm(spec, f) ** 2 + l2_norm(grid.dx, rho0) ** 2
 
         z = solve_shifted(spec, v, f)
-        worst["shift_sup"] = max(worst["shift_sup"], z.sup_l2() ** 2 / data)
-        worst["shift_diss"] = max(worst["shift_diss"], z.st_v(spec.operator) ** 2 / data)
+        worst["shift_sup"] = np.maximum(worst["shift_sup"], z.sup_l2() ** 2 / data)
+        worst["shift_diss"] = np.maximum(worst["shift_diss"], z.st_v(spec.operator) ** 2 / data)
 
         rho_f = solve_sourced(spec, v, f)
-        worst["src_sup"] = max(worst["src_sup"], rho_f.sup_l2() ** 2 / (e2 * data))
-        worst["src_diss"] = max(worst["src_diss"], rho_f.st_v(spec.operator) ** 2 / (e2 * data))
+        worst["src_sup"] = np.maximum(worst["src_sup"], rho_f.sup_l2() ** 2 / (e2 * data))
+        worst["src_diss"] = np.maximum(worst["src_diss"],
+                                       rho_f.st_v(spec.operator) ** 2 / (e2 * data))
 
         rho = solve_state(spec, v)
-        worst["supl2"] = max(worst["supl2"],
-                             rho.sup_l2() / (e1 * l2_norm(grid.dx, rho0)))
+        worst["supl2"] = np.maximum(worst["supl2"],
+                                    rho.sup_l2() / (e1 * l2_norm(grid.dx, rho0)))
 
         terminal = rho.final - target
         q = solve_adjoint(spec, v, terminal)
@@ -442,9 +442,9 @@ def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
         steps = np.arange(grid.nt, 0, -1)  # nt - n + 1 for n = 1..nt
         bounds = (1.0 - grid.dt * v.theta) ** (-steps.astype(float)) * sup_t
         sups = np.max(np.abs(q.values[1:]), axis=1)
-        worst["adj_step"] = max(worst["adj_step"], float(np.max(sups / bounds)))
+        worst["adj_step"] = np.maximum(worst["adj_step"], np.max(sups / bounds))
         denom = e1 * (l2_norm(grid.dx, rho0) + l2_norm(grid.dx, target))
-        adj_energy = max(adj_energy, q.st_v(spec.operator) / denom)
+        adj_energy = np.maximum(adj_energy, q.st_v(spec.operator) / denom)
 
     report.add("shifted-energy-sup", worst["shift_sup"], upper=slack)
     report.add("shifted-energy-dissipation", worst["shift_diss"], upper=slack)
@@ -480,7 +480,7 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
                         rho_target=spec0.rho_target)
     v0 = random_admissible(spec0, rng)
     w0 = ControlField(rng.standard_normal(v0.values.shape), spec0.grid)
-    g0, _, _ = gradient(spec0, v0)
+    g0 = kkt_residual(spec0, v0).g
     report.add("derivative-convex-exact", np.max(np.abs(g0 - spec0.alpha * v0.values)),
                upper=0.0)
     # the cost is exactly quadratic here, so the central difference carries no
@@ -495,28 +495,30 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
         w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
         d = ControlField(rng.standard_normal(v.values.shape), spec.grid)
 
-        g, rho, q = gradient(spec, v)
-        directional = spec.control_dot(g, w.values)
+        e = kkt_residual(spec, v)
+        rho = e.rho
+        directional = spec.control_dot(e.g, w.values)
         fd = central_difference(spec, v, w.values, 1e-5)
-        worst_fd = max(worst_fd, directional_error(spec, g, w.values, fd))
+        worst_fd = np.maximum(worst_fd, directional_error(spec, e.g, w.values, fd))
 
-        # duality pairing over its Cauchy-Schwarz bound dx |r| |y_T|
+        # duality pairing over its Cauchy-Schwarz bound dx |r| |y_T|; the
+        # bound is 0 when rho(T) meets the target, and the NaN of 0/0 fails
         y = solve_linearized(spec, v, w, rho)
         r = rho.final - spec.rho_target
         lhs = spec.grid.dx * float(np.dot(r, y.final))
-        rhs = spec.control_dot(w.values * rho.restrict_omega(), q.restrict_omega())
+        rhs = spec.control_dot(w.values * rho.restrict_omega(), e.q.restrict_omega())
         scale = spec.grid.dx * np.linalg.norm(r) * np.linalg.norm(y.final)
-        worst_dual = max(worst_dual, abs(lhs - rhs) / scale)
+        worst_dual = np.maximum(worst_dual, abs(lhs - rhs) / scale)
 
-        h_wd = hessian_bilinear(spec, v, w, d, rho=rho, q=q)
-        h_dw = hessian_bilinear(spec, v, d, w, rho=rho, q=q)
-        worst_sym = max(worst_sym, abs(h_wd - h_dw) / abs(h_wd))
+        h_wd = hessian_bilinear(spec, e, w, d)
+        h_dw = hessian_bilinear(spec, e, d, w)
+        worst_sym = np.maximum(worst_sym, abs(h_wd - h_dw) / abs(h_wd))
 
-        h_ww = hessian_bilinear(spec, v, w, w, rho=rho, q=q)
+        h_ww = hessian_bilinear(spec, e, w, w)
         eps2 = 1e-3
-        sd = (cost(spec, v.like(v.values + eps2 * w.values)) - 2 * cost(spec, v)
+        sd = (cost(spec, v.like(v.values + eps2 * w.values)) - 2 * e.j
               + cost(spec, v.like(v.values - eps2 * w.values))) / eps2**2
-        worst_hfd = max(worst_hfd, abs(h_ww - sd) / abs(h_ww))
+        worst_hfd = np.maximum(worst_hfd, abs(h_ww - sd) / abs(h_ww))
 
         eps_grid = np.array([1e-2, 1e-3, 1e-4])
         errs = []
@@ -524,14 +526,14 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
             pert = solve_state(spec, v.like(v.values + e * w.values))
             errs.append(TimeField((pert.values - rho.values) / e - y.values, spec.grid).st_l2())
         slope = float(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0])
-        worst_slope = max(worst_slope, abs(slope - 1.0))
+        worst_slope = np.maximum(worst_slope, abs(slope - 1.0))
 
         if case < 3:
             sweep = []
             for e in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
                 fd_e = central_difference(spec, v, w.values, e)
                 sweep.append(abs(fd_e - directional) / abs(directional))
-            vshape_min = min(vshape_min, min(sweep))
+            vshape_min = np.minimum(vshape_min, np.min(sweep))
 
     report.add("gradient-fd", worst_fd, upper=1e-6,
                detail=f"{cfg.derivative_cases} cases, central differences at eps=1e-5")
@@ -555,11 +557,11 @@ def _lipschitz_ratios(spec: ProblemSpec, pairs) -> tuple[float, float]:
         rho1 = solve_state(spec, c1)
         rho2 = solve_state(spec, c2)
         num = TimeField(rho1.values - rho2.values, spec.grid).st_v(op)
-        state_ratio = max(state_ratio, num / dv)
+        state_ratio = np.maximum(state_ratio, num / dv)
         q1 = solve_adjoint(spec, c1, rho1.final - spec.rho_target)
         q2 = solve_adjoint(spec, c2, rho2.final - spec.rho_target)
         qnum = TimeField(q1.values - q2.values, spec.grid).st_v(op)
-        adj_ratio = max(adj_ratio, qnum / dv)
+        adj_ratio = np.maximum(adj_ratio, qnum / dv)
     return state_ratio, adj_ratio
 
 
@@ -634,7 +636,7 @@ def sampled_vi_min(spec: ProblemSpec, u: ControlField, g: np.ndarray,
     worst = math.inf
     for _ in range(n_samples):
         v = rng.uniform(spec.vmin, spec.vmax, size=u.values.shape)
-        worst = min(worst, spec.control_dot(g, v - u.values))
+        worst = np.minimum(worst, spec.control_dot(g, v - u.values))
     return worst
 
 
@@ -646,13 +648,13 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
 
     start = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
     result = projected_gradient(spec, start, opts)
-    # projected_gradient ends "converged" exactly when this residual, which
-    # kkt_residual recomputes from the returned trajectories, meets kkt_tol
-    kkt = kkt_residual(spec, result.u, rho=result.rho, q=result.q)
-    report.add("optimizer-converged", kkt.residual, upper=opts.kkt_tol,
+    # projected_gradient ends "converged" exactly when the residual of its
+    # final evaluation meets kkt_tol; every check below reads that evaluation
+    optimum = result.final
+    report.add("optimizer-converged", optimum.residual, upper=opts.kkt_tol,
                detail=f"status={result.status} after {result.iterations} iterations")
 
-    vi = sampled_vi_min(spec, result.u, kkt.g, cfg.vi_samples, rng)
+    vi = sampled_vi_min(spec, optimum.u, optimum.g, cfg.vi_samples, rng)
     report.add("variational-inequality", vi, lower=-1e-8,
                detail=f"{cfg.vi_samples} random admissible controls")
 
@@ -665,32 +667,32 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     observed = None if uniq.holds else "smallness condition fails; observational only"
 
     # an inconclusive sample has min_quotient NaN, which fails every bound
-    necessary = check_coercivity(spec, result.u, tau=0.0,
+    necessary = check_coercivity(spec, optimum, tau=0.0,
                                  n_samples=cfg.coercivity_samples, seed=cfg.seed + 2)
     report.add("second-order-necessary", necessary.min_quotient, lower=-1e-8 * spec.alpha,
                detail=f"{necessary.n_used} sampled directions on the tau = 0 critical cone")
 
-    sufficient = check_coercivity(spec, result.u, tau=1e-3 * spec.alpha,
+    sufficient = check_coercivity(spec, optimum, tau=1e-3 * spec.alpha,
                                   n_samples=cfg.coercivity_samples, seed=cfg.seed + 3)
     report.add("second-order-sufficient", sufficient.min_quotient,
                lower=-math.inf if observed else 0.5 * spec.alpha,
                detail=observed or f"{sufficient.n_used} sampled critical directions")
 
-    j_star = result.j_final
+    j_star = optimum.j
     gamma = 0.1 * (spec.vmax - spec.vmin)
     growth_min = math.inf
     beta_hat = math.inf
     for _ in range(cfg.growth_samples):
-        direction = rng.standard_normal(result.u.values.shape)
+        direction = rng.standard_normal(optimum.u.values.shape)
         radius = gamma * rng.uniform(0.1, 1.0)
         norm = spec.control_norm(direction)
-        cand = project(spec, result.u.values + direction * (radius / norm))
-        dist = spec.control_norm(cand.values - result.u.values)
+        cand = project(spec, optimum.u.values + direction * (radius / norm))
+        dist = spec.control_norm(cand.values - optimum.u.values)
         if dist <= 1e-12:
             continue
         j_cand = cost(spec, cand)
-        growth_min = min(growth_min, j_cand - j_star)
-        beta_hat = min(beta_hat, (j_cand - j_star) / dist**2)
+        growth_min = np.minimum(growth_min, j_cand - j_star)
+        beta_hat = np.minimum(beta_hat, (j_cand - j_star) / dist**2)
     report.add("quadratic-growth", growth_min, lower=-1e-10,
                detail=f"fitted growth coefficient {beta_hat:.6g} over {cfg.growth_samples} samples")
 
@@ -707,7 +709,7 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     fp_start = constant_control(spec.grid, spec.vmin + 0.75 * (spec.vmax - spec.vmin),
                                 spec.vmin, spec.vmax)
     fp = fixed_point(spec, fp_start, OptimOptions(kkt_tol=opts.kkt_tol, fp_damping=1.0))
-    agree = spec.control_norm(fp.u.values - result.u.values)
+    agree = spec.control_norm(fp.u.values - optimum.u.values)
     report.add("projection-consistency", agree, upper=1e-6,
                detail="L2 distance between projected-gradient and fixed-point controls")
     report.add("fixed-point-converged", fp.kkt_final, upper=opts.kkt_tol,

@@ -212,6 +212,16 @@ class TestCommands:
         for name in ("u.csv", "rho.csv", "q.csv"):
             assert (out / name).exists()
 
+    def test_optimize_summary_fields(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "optimizer.method = fp\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        keys = [line.split(" = ")[0] for line in (out / "summary.txt").read_text().splitlines()]
+        assert keys == ["status", "iterations", "cost", "kkt_residual", "control_l2",
+                        "control_sup", "uniqueness_lhs", "uniqueness_margin",
+                        "uniqueness_holds", "ssc_constant", "ssc_lhs", "ssc_holds"]
+
     def test_optimize_budget_exhaustion_exit_code(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(TINY + "optimizer.max_iters = 1\noptimizer.kkt_tol = 1e-13\n")

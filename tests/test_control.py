@@ -11,7 +11,6 @@ from fracctrl.control import (
     cost,
     cost_from_state,
     critical_cone_project,
-    fixed_point_target,
     gradient,
     hessian_bilinear,
     kkt_residual,
@@ -144,7 +143,7 @@ class TestHessian:
         u = random_control(spec, rng)
         w = random_direction(spec, rng)
         z = ControlField(np.zeros_like(w.values), spec.grid)
-        assert hessian_bilinear(spec, u, z, w) == 0.0
+        assert hessian_bilinear(spec, kkt_residual(spec, u), z, w) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(24)
@@ -152,8 +151,9 @@ class TestHessian:
         u = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
         d = random_direction(spec, rng)
-        a = hessian_bilinear(spec, u, w, d)
-        b = hessian_bilinear(spec, u, d, w)
+        e = kkt_residual(spec, u)
+        a = hessian_bilinear(spec, e, w, d)
+        b = hessian_bilinear(spec, e, d, w)
         assert abs(a - b) <= 1e-13 * abs(a)
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -162,7 +162,7 @@ class TestHessian:
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         u = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
-        value = hessian_bilinear(spec, u, w, w)
+        value = hessian_bilinear(spec, kkt_residual(spec, u), w, w)
         eps = 1e-3
         j0 = cost(spec, u)
         jp = cost(spec, u.like(u.values + eps * w.values))
@@ -175,7 +175,7 @@ class TestHessian:
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         u = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
-        value = hessian_bilinear(spec, u, w, w)
+        value = hessian_bilinear(spec, kkt_residual(spec, u), w, w)
         errs = []
         for eps in (1e-3, 1e-4):
             g_p, _, _ = gradient(spec, u.like(u.values + eps * w.values))
@@ -228,11 +228,10 @@ class TestKKT:
         spec = make_spec(rho0=0.1 * np.abs(rng.standard_normal(18)),
                          target=0.05 * rng.standard_normal(18))
         v = random_control(spec, rng)
-        _, rho, q = gradient(spec, v)
-        u = fixed_point_target(spec, rho, q)
-        # u is the projection built from (rho(v), q(v)); evaluating the
+        e = kkt_residual(spec, v)
+        # e.image is the projection built from (rho(v), q(v)); evaluating the
         # residual against those same trajectories must give exactly zero
-        report = kkt_residual(spec, u, rho=rho, q=q)
+        report = kkt_residual(spec, e.image, rho=e.rho, q=e.q)
         assert report.residual <= 1e-12
 
 
@@ -360,7 +359,7 @@ class TestCoercivity:
         rng = np.random.default_rng(33)
         spec = make_spec(target=rng.standard_normal(18), alpha=0.8)
         u = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
-        rep = check_coercivity(spec, u, tau=0.0, n_samples=16, seed=1)
+        rep = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=16, seed=1)
         assert rep.status == "ok"
         assert rep.n_used == 16
         assert rep.min_quotient == pytest.approx(spec.alpha, rel=1e-12)
@@ -372,6 +371,6 @@ class TestCoercivity:
         rng = np.random.default_rng(34)
         spec = make_spec(rho0=0.1 * np.abs(rng.standard_normal(18)) + 0.01)
         u = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
-        rep = check_coercivity(spec, u, tau=0.0, n_samples=4, seed=2)
+        rep = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=4, seed=2)
         assert rep.status == "inconclusive"
         assert rep.n_used == 0

@@ -127,14 +127,6 @@ class TestFixedPoint:
         dist = spec.control_norm(pg.u.values - fp.u.values)
         assert dist <= 1e-6
 
-    def test_summary_text_fields(self):
-        spec = small_benchmark()
-        res = fixed_point(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax),
-                          OptimOptions())
-        text = res.summary_text(spec, c_user=0.0)
-        for key in ("status", "cost", "kkt_residual", "uniqueness_lhs", "ssc_lhs"):
-            assert key in text
-
 
 class TestMultistart:
     def test_convex_case_all_reach_zero(self):

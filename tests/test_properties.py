@@ -1,9 +1,10 @@
 """Property tests of the step solver over random orders, grids, boxes and controls.
 
 Every instance keeps dt*theta <= 1/2, so each step matrix is an M-matrix and
-the forward and adjoint sweeps share its exact Cholesky factors.  The last
-property covers the CLI config text: serializing then parsing any valid
-config gives it back.
+the forward and adjoint sweeps share its exact Cholesky factors.  One
+property runs both optimizers a few steps and re-evaluates the control they
+return.  The last covers the CLI config text: serializing then parsing any
+valid config gives it back.
 """
 
 import tempfile
@@ -23,6 +24,8 @@ from fracctrl.cli import (
     parse_config,
     serialize_config,
 )
+from fracctrl.control import kkt_residual
+from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
 from fracctrl.pdesolve import (
     ControlField,
     export_control_csv,
@@ -119,6 +122,21 @@ def test_control_csv_round_trip_is_exact(instance):
         assert code == 0
         export_trajectory_csv(solve_state(spec, v), tmp / "rho.csv")
         assert (tmp / "out" / "rho.csv").read_bytes() == (tmp / "rho.csv").read_bytes()
+
+
+@given(instances(), st.sampled_from([projected_gradient, fixed_point]), st.integers(0, 5))
+def test_optimizer_result_is_its_final_evaluation(instance, driver, max_iters):
+    # u, rho, q, the final cost and the final KKT residual all come from one
+    # evaluated iterate, whatever the status, so evaluating u afresh
+    # reproduces every one of them exactly
+    _, spec, v, _ = build(*instance)
+    result = driver(spec, v, OptimOptions(max_iters=max_iters))
+    fresh = kkt_residual(spec, result.u)
+    assert np.array_equal(fresh.rho.values, result.rho.values)
+    assert np.array_equal(fresh.q.values, result.q.values)
+    assert fresh.j == result.j_final == result.j_history[-1]
+    assert fresh.residual == result.kkt_final == result.kkt_history[-1]
+    assert result.iterations <= max_iters
 
 
 def _finite(lo=None, hi=None, **kw):

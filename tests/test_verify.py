@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fracctrl import verify
 from fracctrl.control import check_coercivity, kkt_residual
 from fracctrl.fracop import Grid
 from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
@@ -214,9 +215,27 @@ class TestRules:
         # the NaN quotient reported then must fail
         spec = small_benchmark()
         u = constant_control(spec.grid, 0.5, spec.vmin, spec.vmax)
-        coercivity = check_coercivity(spec, u, tau=0.0, n_samples=2)
+        coercivity = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=2)
         assert coercivity.status == "inconclusive"
         assert not _check(coercivity.min_quotient, lower=-1e-8).passed
+
+    def test_nan_case_reaches_the_check_value(self, monkeypatch):
+        # a worst-of over cases must keep a NaN case, wherever it falls:
+        # Python's max(0.0, nan) is 0.0 and would pass the check
+        real = verify.directional_error
+        calls = []
+
+        def nan_once(*args):
+            calls.append(args)
+            # call 1 is derivative-convex-fd, call 2 the first gradient-fd case
+            return math.nan if len(calls) == 2 else real(*args)
+
+        monkeypatch.setattr(verify, "directional_error", nan_once)
+        report = run_derivative_suite(small_suite_config())
+        check = next(c for c in report.checks if c.name == "gradient-fd")
+        assert len(calls) == 1 + small_suite_config().derivative_cases
+        assert math.isnan(check.value)
+        assert check.status == "FAIL"
 
 
 def _large_data_instance():
@@ -255,7 +274,7 @@ def test_converged_status_is_the_kkt_bound(case):
     result = driver(spec, start, opts)
     assert result.status == status
     assert (result.status == "converged") == (result.kkt_final <= opts.kkt_tol)
-    if driver is projected_gradient:
-        # and kkt_residual recomputes the same number from the trajectories
-        kkt = kkt_residual(spec, result.u, rho=result.rho, q=result.q)
-        assert kkt.residual == result.kkt_final
+    # and kkt_residual recomputes the same numbers from the returned fields
+    kkt = kkt_residual(spec, result.u, rho=result.rho, q=result.q)
+    assert kkt.residual == result.kkt_final
+    assert kkt.j == result.j_final
