@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import cost_from_state, gradient, ssc_smallness, uniqueness_condition
+from .control import cost_from_state, gradient, kkt_residual, ssc_smallness, uniqueness_condition
 from .fracop import Grid, l2_norm
 from .optimize import OptimOptions, fixed_point, projected_gradient
 from .pdesolve import (
@@ -28,7 +28,6 @@ from .pdesolve import (
     constant_control,
     export_control_csv,
     export_trajectory_csv,
-    solve_adjoint,
     solve_state,
 )
 from .problem import ProblemSpec, bump_profile, eigen_profile
@@ -71,6 +70,11 @@ class OptimizerConfig(OptimOptions):
 
     method: str = "pg"  # pg | fp
     c_user: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.c_user < math.inf:
+            raise ValueError(f"c_user must be finite and nonnegative, got {self.c_user}")
 
 
 @dataclass
@@ -295,7 +299,7 @@ def cmd_solve(args) -> int:
     if args.command == "solve":
         export_trajectory_csv(rho, out / "rho.csv")
     if args.adjoint:
-        q = solve_adjoint(spec, v, rho.final - spec.rho_target)
+        q = kkt_residual(spec, v, rho=rho).q
         export_trajectory_csv(q, out / "q.csv")
         if args.command == "adjoint":
             items.append(("adjoint_sup", q.linf()))
@@ -320,18 +324,26 @@ def cmd_optimize(args) -> int:
     _write_kv(out / "summary.txt", [
         ("status", result.status), ("iterations", result.iterations),
         ("cost", result.j_final), ("kkt_residual", result.kkt_final),
-        ("control_l2", result.u.l2()), ("control_sup", result.u.sup),
+        ("control_l2", spec.control_norm(result.u.values)), ("control_sup", result.u.sup),
         ("uniqueness_lhs", uniq.lhs), ("uniqueness_margin", uniq.margin),
         ("uniqueness_holds", uniq.holds), ("ssc_constant", c_user),
         ("ssc_lhs", ssc.lhs), ("ssc_holds", ssc.holds)])
     return 0 if result.status == "converged" else 4
 
 
+def _seeded(block, seed: int | None):
+    """block with --seed, when given, as its seed; the block's own checks judge it."""
+    try:
+        return block if seed is None else replace(block, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    suite_cfg = replace(cfg.verify, spec=build_spec(cfg.problem), c_user=cfg.optimizer.c_user,
-                        suites=(args.suite,) if args.suite else cfg.verify.suites,
-                        seed=cfg.verify.seed if args.seed is None else args.seed)
+    suite_cfg = replace(_seeded(cfg.verify, args.seed), spec=build_spec(cfg.problem),
+                        c_user=cfg.optimizer.c_user,
+                        suites=(args.suite,) if args.suite else cfg.verify.suites)
     report = run_all(suite_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,7 +356,7 @@ def cmd_verify(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args.config)
     spec = build_spec(cfg.problem)
-    rng = np.random.default_rng(cfg.optimizer.seed if args.seed is None else args.seed)
+    rng = np.random.default_rng(_seeded(cfg.optimizer, args.seed).seed)
     v = random_admissible(spec, rng, 0.7)
     w = rng.standard_normal(v.values.shape)
     g, _, _ = gradient(spec, v)

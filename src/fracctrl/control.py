@@ -173,7 +173,7 @@ def ssc_smallness(spec: ProblemSpec, c_user: float = 0.0) -> ConditionReport:
     The constant C depends on the domain and order in a way that is not
     computable here; the caller supplies it (default 0, the most optimistic).
     """
-    if c_user < 0:
+    if not c_user >= 0:
         raise ValueError(f"constant must be nonnegative, got {c_user}")
     lhs = (6.0 + c_user * spec.theta) * np.exp(2.0 * spec.theta * spec.grid.T) * (
         spec.rho0_sup + spec.target_sup) * spec.rho0_sup
@@ -183,9 +183,9 @@ def ssc_smallness(spec: ProblemSpec, c_user: float = 0.0) -> ConditionReport:
 
 @dataclass
 class CoercivityReport:
-    """Sampled Rayleigh quotients of the Hessian over the critical cone."""
+    """Sampled Rayleigh quotients of the Hessian over the critical cone;
+    min_quotient is NaN when no sampled direction survived (n_used = 0)."""
 
-    status: str  # "ok" or "inconclusive"
     min_quotient: float
     n_used: int
 
@@ -215,6 +215,5 @@ def check_coercivity(spec: ProblemSpec, e: Evaluation, tau: float, n_samples: in
         value = hessian_bilinear(spec, e, direction, direction)
         quotients.append(value / norm**2)
     if not quotients:
-        return CoercivityReport(status="inconclusive", min_quotient=np.nan, n_used=0)
-    return CoercivityReport(status="ok", min_quotient=float(np.min(quotients)),
-                            n_used=len(quotients))
+        return CoercivityReport(min_quotient=np.nan, n_used=0)
+    return CoercivityReport(min_quotient=float(np.min(quotients)), n_used=len(quotients))

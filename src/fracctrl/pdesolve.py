@@ -120,10 +120,6 @@ class ControlField:
             raise ValueError("control contains non-finite entries")
 
     @property
-    def has_box(self) -> bool:
-        return self.vmin is not None and self.vmax is not None
-
-    @property
     def sup(self) -> float:
         """Actual sup-norm of the values."""
         return linf_norm(self.values)
@@ -131,12 +127,9 @@ class ControlField:
     @property
     def theta(self) -> float:
         """Larger of the actual sup and, when a box is attached, the box magnitude."""
-        if self.has_box:
+        if self.vmin is not None and self.vmax is not None:
             return max(abs(self.vmin), abs(self.vmax), self.sup)
         return self.sup
-
-    def l2(self) -> float:
-        return float(np.sqrt(self.grid.dx * self.grid.dt * np.sum(self.values**2)))
 
     def like(self, values: np.ndarray) -> "ControlField":
         return ControlField(values=np.asarray(values, dtype=float), grid=self.grid,
@@ -196,12 +189,8 @@ def _check_stability(spec: ProblemSpec, v: ControlField) -> None:
 
 
 def _as_source(grid: Grid, f) -> np.ndarray:
-    """Source at the implicit levels: accepts (nt, n) arrays or a TimeField
-    (whose levels 1..nt are used)."""
-    if isinstance(f, TimeField):
-        arr = f.values[1:]
-    else:
-        arr = np.asarray(f, dtype=float)
+    """Source at the implicit levels 1..nt as an (nt, n) array."""
+    arr = np.asarray(f, dtype=float)
     if arr.shape != (grid.nt, grid.n):
         raise ValueError(f"source shape {arr.shape} != {(grid.nt, grid.n)}")
     return arr
@@ -217,9 +206,8 @@ def _check_finite(values: np.ndarray, levels, what: str) -> None:
 
 
 def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
-           source: np.ndarray | None, scale: np.ndarray | None,
-           backward: bool = False) -> TimeField:
-    """Solve M_k x^k = x^(prev) + dt * scale_k * source_k level by level.
+           source: np.ndarray | None, backward: bool = False) -> TimeField:
+    """Solve M_k x^k = x^(prev) + dt * source_k level by level.
 
     Forward, the levels run 1..nt from x^0 = init.  Backward (the adjoint
     sweep, sourceless), they run nt..1 from init as the terminal datum, and
@@ -232,8 +220,7 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
     out = np.empty((grid.nt + 1, grid.n))
     cur = np.asarray(init, dtype=float)
     for k in levels:
-        rhs = cur if source is None else cur + dt * (
-            source[k - 1] if scale is None else scale[k - 1] * source[k - 1])
+        rhs = cur if source is None else cur + dt * source[k - 1]
         cur = steps.solve(k, rhs)
         out[k] = cur
     _check_finite(out, levels, "multiplier" if backward else "state")
@@ -244,13 +231,13 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
 def solve_state(spec: ProblemSpec, v: ControlField) -> TimeField:
     """Trajectory of the homogeneous bilinear equation from rho0."""
     _check_stability(spec, v)
-    return _march(spec, StepSolver(spec, v), spec.rho0, None, None)
+    return _march(spec, StepSolver(spec, v), spec.rho0, None)
 
 
 def solve_sourced(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     """Trajectory with an additive source f at the implicit levels."""
     _check_stability(spec, v)
-    return _march(spec, StepSolver(spec, v), spec.rho0, _as_source(spec.grid, f), None)
+    return _march(spec, StepSolver(spec, v), spec.rho0, _as_source(spec.grid, f))
 
 
 def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
@@ -262,7 +249,8 @@ def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     r = v.sup
     grid = spec.grid
     scale = np.exp(-r * grid.dt * np.arange(1, grid.nt + 1))
-    return _march(spec, StepSolver(spec, v, shift=r), spec.rho0, _as_source(grid, f), scale)
+    return _march(spec, StepSolver(spec, v, shift=r), spec.rho0,
+                  scale[:, None] * _as_source(grid, f))
 
 
 def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> TimeField:
@@ -277,7 +265,7 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> T
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.grid.n,):
         raise ValueError(f"terminal datum shape {terminal.shape} != {(spec.grid.n,)}")
-    return _march(spec, StepSolver(spec, v), terminal, None, None, backward=True)
+    return _march(spec, StepSolver(spec, v), terminal, None, backward=True)
 
 
 def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
@@ -295,7 +283,7 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
     source = np.zeros((grid.nt, grid.n))
     source[:, grid.omega_mask] = w.values * rho.restrict_omega()
     zero = np.zeros(grid.n)
-    return _march(spec, StepSolver(spec, v), zero, source, None)
+    return _march(spec, StepSolver(spec, v), zero, source)
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:

@@ -340,6 +340,36 @@ class TestBadInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_bad_ssc_constant(self, tmp_path, capsys, value, command):
+        # optimize writes c_user to its summary and verify hands it to the
+        # optimality suite; either must refuse it before writing a file
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + f"optimizer.c_user = {value}\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "verify":
+            argv += ["--suite", "optimality"]
+        assert main(argv) == 2
+        assert "c_user must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,line", [
+        (["verify", "--suite", "derivatives", "--seed", "-1"], ""),
+        (["verify", "--suite", "operator"], "verify.seed = -1"),
+        (["gradcheck", "--seed", "-2"], ""),
+        (["gradcheck"], "optimizer.seed = -3"),
+    ], ids=["verify-flag", "verify-key", "gradcheck-flag", "gradcheck-key"])
+    def test_negative_seed(self, tmp_path, capsys, argv, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + line + "\n")
+        out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "out")]
+        assert main(argv + ["--config", str(config)] + out) == 2
+        captured = capsys.readouterr()
+        assert "seed must be nonnegative" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["solve", "adjoint", "optimize"])
     def test_seed_only_on_commands_that_read_it(self, tmp_path, command):
         with pytest.raises(SystemExit) as exc:

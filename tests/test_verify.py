@@ -216,7 +216,7 @@ class TestRules:
         spec = small_benchmark()
         u = constant_control(spec.grid, 0.5, spec.vmin, spec.vmax)
         coercivity = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=2)
-        assert coercivity.status == "inconclusive"
+        assert coercivity.n_used == 0 and math.isnan(coercivity.min_quotient)
         assert not _check(coercivity.min_quotient, lower=-1e-8).passed
 
     def test_nan_case_reaches_the_check_value(self, monkeypatch):
@@ -278,3 +278,35 @@ def test_converged_status_is_the_kkt_bound(case):
     kkt = kkt_residual(spec, result.u, rho=result.rho, q=result.q)
     assert kkt.residual == result.kkt_final
     assert kkt.j == result.j_final
+
+
+def test_state_adjoint_pairs_come_from_kkt_residual(monkeypatch, tmp_path):
+    # the estimate and Lipschitz suites and `solve --adjoint` evaluate each
+    # control once through kkt_residual instead of pairing the solvers by hand
+    from fracctrl import cli
+
+    evaluated = []
+
+    def counting(spec, u, **known):
+        evaluated.append(u)
+        return kkt_residual(spec, u, **known)
+
+    monkeypatch.setattr(verify, "kkt_residual", counting)
+    monkeypatch.setattr(cli, "kkt_residual", counting)
+
+    run_estimate_suite(SuiteConfig(estimate_cases=2))
+    assert len(evaluated) == 2
+
+    spec = verify._lipschitz_instance(16, 32, 0.1)
+    rng = np.random.default_rng(5)
+    shape = (spec.grid.nt, spec.grid.n_omega)
+    pairs = [(rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)) for _ in range(2)]
+    verify._lipschitz_ratios(spec, pairs)
+    assert len(evaluated) == 2 + 4
+
+    config = tmp_path / "run.cfg"
+    config.write_text("problem.n = 31\nproblem.nt = 40\n")
+    assert cli.main(["solve", "--config", str(config), "--control", "constant(0.3)",
+                     "--adjoint", "--out", str(tmp_path / "out")]) == 0
+    assert len(evaluated) == 2 + 4 + 1
+    assert (tmp_path / "out" / "q.csv").exists()
