@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import cost_from_state, gradient, kkt_residual, ssc_smallness, uniqueness_condition
+from .control import (check_ssc_constant, cost_from_state, gradient, kkt_residual,
+                       ssc_smallness, uniqueness_condition)
 from .fracop import Grid, l2_norm
 from .optimize import OptimOptions, fixed_point, projected_gradient
 from .pdesolve import (
@@ -73,8 +74,7 @@ class OptimizerConfig(OptimOptions):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 <= self.c_user < math.inf:
-            raise ValueError(f"c_user must be finite and nonnegative, got {self.c_user}")
+        check_ssc_constant(self.c_user)
 
 
 @dataclass

@@ -14,11 +14,13 @@ discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .pdesolve import (
     ControlField,
+    StepSolver,
     TimeField,
     solve_adjoint,
     solve_linearized,
@@ -51,11 +53,12 @@ def project(spec: ProblemSpec, raw) -> ControlField:
 
 @dataclass
 class Evaluation:
-    """A control u with its state rho, adjoint q, gradient field
-    g = alpha*u + rho*q on the window, cost j, projection image
-    clip(-rho*q/alpha) and first-order residual ||u - image|| in
-    L2(omega_T)."""
+    """A control u evaluated under spec: its state rho, adjoint q, gradient
+    field g = alpha*u + rho*q on the window, cost j, projection image
+    clip(-rho*q/alpha), first-order residual ||u - image|| in L2(omega_T)
+    and step factors steps, built when a Hessian first asks for them."""
 
+    spec: ProblemSpec
     u: ControlField
     rho: TimeField
     q: TimeField
@@ -67,6 +70,10 @@ class Evaluation:
     @property
     def finite(self) -> bool:
         return bool(np.isfinite(self.j) and np.all(np.isfinite(self.g)))
+
+    @cached_property
+    def steps(self) -> StepSolver:
+        return StepSolver(self.spec, self.u)
 
 
 def kkt_residual(spec: ProblemSpec, u: ControlField,
@@ -82,7 +89,7 @@ def kkt_residual(spec: ProblemSpec, u: ControlField,
         q = solve_adjoint(spec, u, rho.final - spec.rho_target)
     # the projection form of the first-order condition: u = image at a KKT point
     image = project(spec, -rho.restrict_omega() * q.restrict_omega() / spec.alpha)
-    return Evaluation(u=u, rho=rho, q=q,
+    return Evaluation(spec=spec, u=u, rho=rho, q=q,
                       g=spec.alpha * u.values + rho.restrict_omega() * q.restrict_omega(),
                       j=cost_from_state(spec, u, rho), image=image,
                       residual=spec.control_norm(u.values - image.values))
@@ -104,13 +111,12 @@ def hessian_bilinear(spec: ProblemSpec, e: Evaluation, w: ControlField,
     along the direction pair (w, d).
 
     Exact for the discrete objective and symmetric in (w, d) by construction.
-    When d is w the one linearized solve serves both directions.
+    The linearized solves run on e.steps; when d is w one serves both.
     """
-    y_w = solve_linearized(spec, e.u, w, e.rho)
-    y_d = y_w if d is w else solve_linearized(spec, e.u, d, e.rho)
-    q_w = e.q.restrict_omega()
-    cross = spec.control_dot(d.values * y_w.restrict_omega()
-                             + w.values * y_d.restrict_omega(), q_w)
+    y_w = solve_linearized(spec, e.u, w, e.rho, steps=e.steps)
+    y_d = y_w if d is w else solve_linearized(spec, e.u, d, e.rho, steps=e.steps)
+    cross = spec.control_dot(d.values * y_w.restrict_omega() + w.values * y_d.restrict_omega(),
+                             e.q.restrict_omega())
     terminal = spec.grid.dx * float(np.dot(y_w.final, y_d.final))
     reg = spec.alpha * spec.control_dot(d.values, w.values)
     return cross + terminal + reg
@@ -166,6 +172,11 @@ def uniqueness_condition(spec: ProblemSpec) -> ConditionReport:
     return ConditionReport(lhs=float(lhs), bound=spec.alpha, holds=bool(lhs < spec.alpha))
 
 
+def check_ssc_constant(c_user: float) -> None:
+    if not 0.0 <= c_user < np.inf:
+        raise ValueError(f"c_user must be finite and nonnegative, got {c_user}")
+
+
 def ssc_smallness(spec: ProblemSpec, c_user: float = 0.0) -> ConditionReport:
     """Sufficient-condition smallness test:
     (6 + C theta) e^(2 theta T) (||rho0||_inf + ||target||_inf) ||rho0||_inf <= alpha/2.
@@ -173,8 +184,7 @@ def ssc_smallness(spec: ProblemSpec, c_user: float = 0.0) -> ConditionReport:
     The constant C depends on the domain and order in a way that is not
     computable here; the caller supplies it (default 0, the most optimistic).
     """
-    if not c_user >= 0:
-        raise ValueError(f"constant must be nonnegative, got {c_user}")
+    check_ssc_constant(c_user)
     lhs = (6.0 + c_user * spec.theta) * np.exp(2.0 * spec.theta * spec.grid.T) * (
         spec.rho0_sup + spec.target_sup) * spec.rho0_sup
     bound = 0.5 * spec.alpha

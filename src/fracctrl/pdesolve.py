@@ -8,10 +8,10 @@ implicitly: each step solves
 Under dt*theta <= 1/2 every step matrix is a symmetric positive definite
 M-matrix, which yields nonnegativity preservation and the per-step sup
 bound ||M^(-1)||_inf <= 1/(1 - dt*theta) for free.  Every step is solved
-with the exact Cholesky factors of its matrix, and the forward and adjoint
-sweeps use the same factors, so the adjoint solver is the exact transpose
-of the forward map and discrete duality identities hold to round-off
-rather than to discretization accuracy.
+with the exact Cholesky factors of its matrix, factorized once per distinct
+matrix, and the forward and adjoint sweeps use the same factors, so the
+adjoint solver is the exact transpose of the forward map and discrete
+duality identities hold to round-off, not to discretization accuracy.
 
 Controls and directions live on the omega nodes at the implicit levels
 1..nt, piecewise constant in time and space.
@@ -144,39 +144,41 @@ def constant_control(grid: Grid, value: float, vmin=None, vmax=None) -> ControlF
 class StepSolver:
     """Cholesky factors of the step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
 
-    Each level is factorized once (one factor serves every level when the
-    control is constant in time).  The matrices are symmetric, so the same
-    factors serve the forward and the transposed (adjoint) sweeps, which is
-    what makes the adjoint the exact transpose of the forward map.
+    One factor per distinct level: rows of v holding the same bytes share one
+    (-0.0 and 0.0 rows do not).  The matrices are symmetric, so the same
+    factors serve the forward and the transposed (adjoint) sweeps: the adjoint
+    is the exact transpose of the forward map.  At shift 0 the build raises
+    StabilityError unless dt*theta <= 1/2; a shift >= sup|v| needs no guard.
 
     The solver trusts its inputs: spec and v were checked for finite values
-    when they were built, so each level is factorized in place by potrf and
+    when they were built, so each factor is computed in place by potrf and
     each solve is one potrs call, neither scanning for non-finite entries.
     _march checks the trajectory it assembles.
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
+        if shift == 0.0:
+            _check_stability(spec, v)
         grid = spec.grid
         dt = grid.dt
-        vals = v.values
-        self.time_constant = bool(np.all(vals == vals[0]))
-        A = spec.operator.matrix
-        base = np.asfortranarray(np.eye(grid.n) + dt * (A + shift * np.eye(grid.n)))
-        self._factors = []
+        base = np.asfortranarray(np.eye(grid.n) + dt * (spec.operator.matrix + shift * np.eye(grid.n)))
         idx = grid.omega_indices
-        n_factor = 1 if self.time_constant else grid.nt
+        by_row = {}
+        self._factors = []  # the factor of each level 1..nt
         try:
-            for k in range(n_factor):
-                # Fortran order lets potrf overwrite this copy with its factor
-                M = base.copy(order="F")
-                M[idx, idx] -= dt * vals[k]
-                self._factors.append(cho_factor(M, overwrite_a=True, check_finite=False)[0])
+            for row in v.values:
+                if (key := row.tobytes()) not in by_row:
+                    # Fortran order lets potrf overwrite this copy with its factor
+                    M = base.copy(order="F")
+                    M[idx, idx] -= dt * row
+                    by_row[key] = cho_factor(M, overwrite_a=True, check_finite=False)[0]
+                self._factors.append(by_row[key])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
             raise SolverError(f"step matrix factorization failed: {exc}") from exc
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""
-        return cholesky_solve(self._factors[0 if self.time_constant else level - 1], rhs)
+        return cholesky_solve(self._factors[level - 1], rhs)
 
 
 def _check_stability(spec: ProblemSpec, v: ControlField) -> None:
@@ -210,9 +212,9 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
     """Solve M_k x^k = x^(prev) + dt * source_k level by level.
 
     Forward, the levels run 1..nt from x^0 = init.  Backward (the adjoint
-    sweep, sourceless), they run nt..1 from init as the terminal datum, and
-    slot 0 repeats level 1.  The first non-finite level is named in march
-    order.
+    sweep), they run nt..1 from init as the terminal datum, and slot 0
+    repeats level 1.  Either direction adds dt * source_k when a source is
+    given.  The first non-finite level is named in march order.
     """
     grid = spec.grid
     dt = grid.dt
@@ -230,21 +232,19 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
 
 def solve_state(spec: ProblemSpec, v: ControlField) -> TimeField:
     """Trajectory of the homogeneous bilinear equation from rho0."""
-    _check_stability(spec, v)
     return _march(spec, StepSolver(spec, v), spec.rho0, None)
 
 
 def solve_sourced(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     """Trajectory with an additive source f at the implicit levels."""
-    _check_stability(spec, v)
     return _march(spec, StepSolver(spec, v), spec.rho0, _as_source(spec.grid, f))
 
 
 def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     """Trajectory of the shifted system with rate r = sup|v| and source e^(-r t_n) f^n.
 
-    The shift makes the step matrices M-matrices for any dt, so no stability
-    guard applies.  e^(r t_n) z^n tracks the sourced solution to O(dt).
+    The shift makes the step matrices M-matrices for any dt, so the stability
+    guard applies only at rate 0.  e^(r t_n) z^n tracks the sourced solution to O(dt).
     """
     r = v.sup
     grid = spec.grid
@@ -261,7 +261,6 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> T
     lam^1 as the t=0 extension.  This pairing makes the discrete duality
     identity with the linearized solver exact.
     """
-    _check_stability(spec, v)
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.grid.n,):
         raise ValueError(f"terminal datum shape {terminal.shape} != {(spec.grid.n,)}")
@@ -269,21 +268,20 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> T
 
 
 def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
-                     rho: TimeField) -> TimeField:
+                     rho: TimeField, steps: StepSolver | None = None) -> TimeField:
     """Derivative of the discrete forward map in the control direction w.
 
     y^0 = 0 and M_n y^n = y^(n-1) + dt * (w^n rho^n) on the window, with rho
     the solve_state trajectory for v.  This is exact for the discrete scheme:
-    it is what differentiating M_n rho^n = rho^(n-1) in v gives.
+    it is what differentiating M_n rho^n = rho^(n-1) in v gives.  steps, when
+    given, must be StepSolver(spec, v); it is built otherwise.
     """
-    _check_stability(spec, v)
     grid = spec.grid
     if rho.grid != grid:
         raise ValueError("state trajectory was computed on a different grid")
     source = np.zeros((grid.nt, grid.n))
     source[:, grid.omega_mask] = w.values * rho.restrict_omega()
-    zero = np.zeros(grid.n)
-    return _march(spec, StepSolver(spec, v), zero, source)
+    return _march(spec, steps or StepSolver(spec, v), np.zeros(grid.n), source)
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:

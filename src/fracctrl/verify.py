@@ -18,6 +18,7 @@ import numpy as np
 
 from .control import (
     check_coercivity,
+    check_ssc_constant,
     cost,
     hessian_bilinear,
     kkt_residual,
@@ -213,6 +214,7 @@ class SuiteConfig:
         repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
         if repeated:
             raise ValueError(f"suites names {', '.join(repeated)} more than once")
+        check_ssc_constant(self.c_user)
         for name in ("mp_cases", "estimate_cases", "derivative_cases", "lipschitz_pairs",
                      "vi_samples", "coercivity_samples", "growth_samples", "starts"):
             count = getattr(self, name)

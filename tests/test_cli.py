@@ -1,18 +1,25 @@
 """Config parsing, command dispatch, exit codes, artifact layout."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fracctrl.cli import (
     ConfigError,
+    OptimizerConfig,
     RunConfig,
     build_spec,
     main,
     parse_config,
     serialize_config,
 )
+from fracctrl.control import ssc_smallness
 from fracctrl.fracop import assemble_operator
 from fracctrl.pdesolve import constant_control, export_control_csv
+from fracctrl.verify import SuiteConfig
+
+from test_pdesolve import make_spec
 
 TINY = """
 problem.n = 31
@@ -136,6 +143,19 @@ class TestConfigParsing:
     def test_invalid_optimizer_value_rejected_when_parsed(self):
         with pytest.raises(ConfigError, match="backtrack"):
             parse_config("optimizer.backtrack = 2\n")
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda c: SuiteConfig(c_user=c, suites=("operator", "optimality")),
+        lambda c: OptimizerConfig(c_user=c),
+        lambda c: ssc_smallness(make_spec(), c),
+    ], ids=["suite", "optimizer", "ssc"])
+    def test_one_rule_for_the_ssc_constant(self, build, value):
+        # both config blocks refuse the constant when built, before any suite
+        # runs, by the rule and message of ssc_smallness itself
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        assert str(exc.value) == f"c_user must be finite and nonnegative, got {value}"
 
     def test_cli_filled_suite_fields_are_not_keys(self):
         for key in ("verify.spec", "verify.c_user", "optimizer.max_backtracks"):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracctrl import control
 from fracctrl.control import (
     active_set,
     check_coercivity,
@@ -19,10 +20,30 @@ from fracctrl.control import (
     uniqueness_condition,
 )
 from fracctrl.fracop import Grid, InvalidOrderError
-from fracctrl.pdesolve import ControlField, constant_control, solve_linearized
+from fracctrl.pdesolve import ControlField, StepSolver, constant_control, solve_linearized
 from fracctrl.problem import ProblemSpec, benchmark_problem
 
-from test_pdesolve import make_spec, principal_mode, random_control, random_direction
+from test_pdesolve import (
+    make_spec,
+    principal_mode,
+    random_control,
+    random_direction,
+    step_control,
+)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts StepSolver builds made while the test runs."""
+    made = []
+    init = StepSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StepSolver, "__init__", counted)
+    return made
 
 
 class TestProblemSpec:
@@ -184,6 +205,48 @@ class TestHessian:
             errs.append(abs(fd - value) / abs(value))
         assert errs[1] < errs[0]
         assert errs[1] <= 1e-3
+
+
+class TestStepReuse:
+    """An Evaluation builds its step factors once, when a Hessian first asks
+    for them; evaluating a control does not build them."""
+
+    def test_evaluation_builds_no_extra_factors(self, builds):
+        rng = np.random.default_rng(26)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
+        u = random_control(spec, rng, scale=0.7)
+        e = kkt_residual(spec, u)
+        assert len(builds) == 2
+        gradient(spec, u)
+        assert len(builds) == 4
+        assert "steps" not in vars(e)
+
+    def test_coercivity_builds_once_per_evaluation(self, builds):
+        rng = np.random.default_rng(27)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
+        e = kkt_residual(spec, random_control(spec, rng, scale=0.7))
+        builds.clear()
+        # no point is strongly active above tau, so every sample is used
+        rep = check_coercivity(spec, e, tau=1e6, n_samples=8, seed=1)
+        assert rep.n_used == 8
+        assert len(builds) == 1
+        check_coercivity(spec, e, tau=1e6, n_samples=8, seed=2)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("kind", ["varying", "blocks"])
+    def test_shared_factors_give_the_fresh_values(self, kind, monkeypatch):
+        rng = np.random.default_rng(28)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
+        u = step_control(kind, spec, rng)
+        w, d = random_direction(spec, rng), random_direction(spec, rng)
+        shared = [hessian_bilinear(spec, kkt_residual(spec, u), *pair)
+                  for pair in ((w, d), (d, w), (w, w))]
+        # the reference builds fresh factors for every linearized solve
+        monkeypatch.setattr(control, "solve_linearized",
+                            lambda spec, v, w, rho, steps=None: solve_linearized(spec, v, w, rho))
+        fresh = [hessian_bilinear(spec, kkt_residual(spec, u), *pair)
+                 for pair in ((w, d), (d, w), (w, w))]
+        assert shared == fresh
 
 
 class TestProjection:

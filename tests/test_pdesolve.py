@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from fracctrl import pdesolve
 from fracctrl.fracop import Grid, SolverError
 from fracctrl.pdesolve import (
     ControlField,
@@ -21,6 +22,7 @@ from fracctrl.pdesolve import (
     source_vstar_norm,
 )
 from fracctrl.problem import ProblemSpec
+from fracctrl.verify import _realize_blocks
 
 
 def make_spec(n=18, nt=30, window=(-0.6, 0.6), T=0.5, s=0.5, alpha=1.0,
@@ -266,18 +268,39 @@ class TestLinearizedSolver:
         assert np.all(np.diff(errs) < 0)
 
 
+def step_control(kind, spec, rng):
+    """A control whose rows are all distinct (varying), all equal (constant),
+    sampled on a (4, 3) block lattice (blocks) or alternating between two."""
+    if kind == "constant":
+        return constant_control(spec.grid, 0.4, spec.vmin, spec.vmax)
+    if kind == "varying":
+        return random_control(spec, rng)
+    if kind == "blocks":
+        vals = _realize_blocks(spec, rng.uniform(spec.vmin, spec.vmax, (4, 3)))
+    else:
+        two = rng.uniform(spec.vmin, spec.vmax, (2, spec.grid.n_omega))
+        vals = two[np.arange(spec.grid.nt) % 2]
+    return ControlField(vals, spec.grid, spec.vmin, spec.vmax)
+
+
 class TestDenseStepPath:
     """The dense path factorizes in place and solves through potrs; it must
-    give exactly what scipy's checked cho_factor/cho_solve give."""
+    give exactly what scipy's checked cho_factor/cho_solve give, and it
+    factorizes each distinct level once."""
 
     @pytest.mark.parametrize("kind,shift", [("varying", 0.0), ("constant", 0.0),
-                                            ("varying", 0.7)])
-    def test_solve_equals_checked_cholesky(self, kind, shift):
+                                            ("varying", 0.7), ("blocks", 0.0),
+                                            ("alternating", 0.0)])
+    def test_solve_equals_checked_cholesky(self, kind, shift, monkeypatch):
         rng = np.random.default_rng(60)
         spec = make_spec(n=24, nt=6)
-        v = (random_control(spec, rng) if kind == "varying"
-             else constant_control(spec.grid, 0.4, spec.vmin, spec.vmax))
+        v = step_control(kind, spec, rng)
+        factored = []
+        monkeypatch.setattr(pdesolve, "cho_factor",
+                            lambda M, **kw: factored.append(M) or cho_factor(M, **kw))
         steps = StepSolver(spec, v, shift=shift)
+        distinct = {"varying": 6, "constant": 1, "blocks": 4, "alternating": 2}[kind]
+        assert len(factored) == len(np.unique(v.values, axis=0)) == distinct
         n, dt = spec.grid.n, spec.grid.dt
         base = np.eye(n) + dt * (spec.operator.matrix + shift * np.eye(n))
         for level in range(1, spec.grid.nt + 1):
@@ -286,6 +309,15 @@ class TestDenseStepPath:
             M = base - dt * np.diag(window)
             b = rng.standard_normal(n)
             assert np.array_equal(steps.solve(level, b), cho_solve(cho_factor(M), b))
+
+    def test_build_guards_stability_at_shift_zero(self):
+        # dt = 1/60, so a control of sup 40 puts dt*theta at 2/3 > 1/2; a shift
+        # of sup|v| makes every step matrix an M-matrix whatever dt is
+        spec = make_spec(n=24, nt=30)
+        v = constant_control(spec.grid, 40.0)
+        with pytest.raises(StabilityError, match="stability margin"):
+            StepSolver(spec, v)
+        StepSolver(spec, v, shift=v.sup)
 
     def test_build_leaves_operator_matrix_unchanged(self):
         rng = np.random.default_rng(61)
