@@ -26,6 +26,7 @@ from .pdesolve import (
     ControlField,
     SolverError,
     StabilityError,
+    StepSolver,
     constant_control,
     export_control_csv,
     export_trajectory_csv,
@@ -294,12 +295,15 @@ def cmd_solve(args) -> int:
     v = _parse_control_source(args.control, spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rho = solve_state(spec, v)
+    # with the adjoint, the state and adjoint march on one set of factors
+    steps = StepSolver(spec, v) if args.adjoint else None
+    rho = solve_state(spec, v, steps=steps)
+    q = kkt_residual(spec, v, rho=rho, steps=steps).q if args.adjoint else None
+    del steps  # release the factors before any file is written
     items = _solve_summary(spec, v, rho)
     if args.command == "solve":
         export_trajectory_csv(rho, out / "rho.csv")
     if args.adjoint:
-        q = kkt_residual(spec, v, rho=rho).q
         export_trajectory_csv(q, out / "q.csv")
         if args.command == "adjoint":
             items.append(("adjoint_sup", q.linf()))

@@ -77,16 +77,19 @@ class Evaluation:
 
 
 def kkt_residual(spec: ProblemSpec, u: ControlField,
-                 rho: TimeField | None = None, q: TimeField | None = None) -> Evaluation:
+                 rho: TimeField | None = None, q: TimeField | None = None,
+                 steps: StepSolver | None = None) -> Evaluation:
     """Evaluate u: every quantity the optimizers, the Hessian and verify read.
 
     Trajectories already computed for u may be passed; only the missing
-    solves run.
+    solves run.  Given steps = StepSolver(spec, u), they march on it;
+    otherwise each builds its own, identical factors.  The Evaluation does
+    not keep steps.
     """
     if rho is None:
-        rho = solve_state(spec, u)
+        rho = solve_state(spec, u, steps=steps)
     if q is None:
-        q = solve_adjoint(spec, u, rho.final - spec.rho_target)
+        q = solve_adjoint(spec, u, rho.final - spec.rho_target, steps=steps)
     # the projection form of the first-order condition: u = image at a KKT point
     image = project(spec, -rho.restrict_omega() * q.restrict_omega() / spec.alpha)
     return Evaluation(spec=spec, u=u, rho=rho, q=q,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import Evaluation, cost_from_state, kkt_residual, project
-from .pdesolve import ControlField, TimeField, solve_state
+from .pdesolve import ControlField, StepSolver, TimeField, solve_state
 from .problem import ProblemSpec
 
 # Armijo trials per iteration before the iterate counts as stalled.
@@ -111,20 +111,27 @@ def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> O
 
 
 def _armijo_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions) -> Evaluation | None:
-    """The next projected-gradient iterate, or None when no trial passes Armijo."""
+    """The next projected-gradient iterate, or None when no trial passes Armijo.
+
+    Each trial marches its state on its own step factors; an accepted trial
+    hands them to its adjoint, and a rejected one drops them before the next
+    trial builds.
+    """
     sigma = opts.step0(spec)
     for _ in range(MAX_BACKTRACKS):
         cand = project(spec, e.u.values - sigma * e.g)
+        if np.array_equal(cand.values, e.u.values):
+            # backtracking shrank the step below float resolution: the trial
+            # would repeat e's cost with a predicted decrease of 0, so the
+            # iterate froze
+            return None
         predicted = opts.armijo_c1 * spec.control_dot(e.g, e.u.values - cand.values)
-        rho_c = solve_state(spec, cand)
+        steps = StepSolver(spec, cand)
+        rho_c = solve_state(spec, cand, steps=steps)
         j_c = cost_from_state(spec, cand, rho_c)
         if np.isfinite(j_c) and j_c <= e.j - predicted:
-            if np.array_equal(cand.values, e.u.values):
-                # backtracking shrank the step below float resolution: the
-                # cost decrease is under the solver noise floor, so the
-                # iterate froze
-                return None
-            return kkt_residual(spec, cand, rho=rho_c)
+            return kkt_residual(spec, cand, rho=rho_c, steps=steps)
+        del steps
         sigma *= opts.backtrack
     return None
 

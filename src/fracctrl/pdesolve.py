@@ -149,6 +149,8 @@ class StepSolver:
     factors serve the forward and the transposed (adjoint) sweeps: the adjoint
     is the exact transpose of the forward map.  At shift 0 the build raises
     StabilityError unless dt*theta <= 1/2; a shift >= sup|v| needs no guard.
+    spec, v and shift record what the factors were built for, so a solve_*
+    handed steps= can refuse a solver built for other matrices.
 
     The solver trusts its inputs: spec and v were checked for finite values
     when they were built, so each factor is computed in place by potrf and
@@ -159,6 +161,7 @@ class StepSolver:
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
         if shift == 0.0:
             _check_stability(spec, v)
+        self.spec, self.v, self.shift = spec, v, shift
         grid = spec.grid
         dt = grid.dt
         base = np.asfortranarray(np.eye(grid.n) + dt * (spec.operator.matrix + shift * np.eye(grid.n)))
@@ -188,6 +191,18 @@ def _check_stability(spec: ProblemSpec, v: ControlField) -> None:
             f"dt*theta = {margin:.6g} exceeds the stability margin {STABILITY_MARGIN}; "
             f"refine the time grid or shrink the control box"
         )
+
+
+def _steps_for(spec: ProblemSpec, v: ControlField, steps: StepSolver | None) -> StepSolver:
+    """steps, checked to be StepSolver(spec, v) for these very objects, or a
+    fresh build when it is None.  Factors of other matrices would march the
+    wrong scheme, and the adjoint would no longer be the state's transpose."""
+    if steps is None:
+        return StepSolver(spec, v)
+    if steps.spec is not spec or steps.v is not v or steps.shift != 0.0:
+        raise ValueError("steps must be StepSolver(spec, v) built for this spec "
+                         "and control at shift 0")
+    return steps
 
 
 def _as_source(grid: Grid, f) -> np.ndarray:
@@ -230,14 +245,20 @@ def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
     return TimeField(out, grid)
 
 
-def solve_state(spec: ProblemSpec, v: ControlField) -> TimeField:
-    """Trajectory of the homogeneous bilinear equation from rho0."""
-    return _march(spec, StepSolver(spec, v), spec.rho0, None)
+def solve_state(spec: ProblemSpec, v: ControlField,
+                steps: StepSolver | None = None) -> TimeField:
+    """Trajectory of the homogeneous bilinear equation from rho0.
+
+    steps, when given, must be StepSolver(spec, v); it is built otherwise.
+    The same holds for every solve_* that takes steps=.
+    """
+    return _march(spec, _steps_for(spec, v, steps), spec.rho0, None)
 
 
-def solve_sourced(spec: ProblemSpec, v: ControlField, f) -> TimeField:
+def solve_sourced(spec: ProblemSpec, v: ControlField, f,
+                  steps: StepSolver | None = None) -> TimeField:
     """Trajectory with an additive source f at the implicit levels."""
-    return _march(spec, StepSolver(spec, v), spec.rho0, _as_source(spec.grid, f))
+    return _march(spec, _steps_for(spec, v, steps), spec.rho0, _as_source(spec.grid, f))
 
 
 def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
@@ -253,7 +274,8 @@ def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
                   scale[:, None] * _as_source(grid, f))
 
 
-def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> TimeField:
+def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
+                  steps: StepSolver | None = None) -> TimeField:
     """Exact discrete transpose of the forward map.
 
     Solves M_nt lam^nt = terminal, then M_n lam^n = lam^(n+1) down to n = 1.
@@ -264,7 +286,7 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray) -> T
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.grid.n,):
         raise ValueError(f"terminal datum shape {terminal.shape} != {(spec.grid.n,)}")
-    return _march(spec, StepSolver(spec, v), terminal, None, backward=True)
+    return _march(spec, _steps_for(spec, v, steps), terminal, None, backward=True)
 
 
 def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
@@ -273,15 +295,14 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
 
     y^0 = 0 and M_n y^n = y^(n-1) + dt * (w^n rho^n) on the window, with rho
     the solve_state trajectory for v.  This is exact for the discrete scheme:
-    it is what differentiating M_n rho^n = rho^(n-1) in v gives.  steps, when
-    given, must be StepSolver(spec, v); it is built otherwise.
+    it is what differentiating M_n rho^n = rho^(n-1) in v gives.
     """
     grid = spec.grid
     if rho.grid != grid:
         raise ValueError("state trajectory was computed on a different grid")
     source = np.zeros((grid.nt, grid.n))
     source[:, grid.omega_mask] = w.values * rho.restrict_omega()
-    return _march(spec, steps or StepSolver(spec, v), np.zeros(grid.n), source)
+    return _march(spec, _steps_for(spec, v, steps), np.zeros(grid.n), source)
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:

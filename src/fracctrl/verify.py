@@ -39,6 +39,7 @@ from .fracop import (
 from .optimize import OptimOptions, fixed_point, multistart_uniqueness, projected_gradient
 from .pdesolve import (
     ControlField,
+    StepSolver,
     TimeField,
     constant_control,
     solve_linearized,
@@ -430,12 +431,14 @@ def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
         worst["shift_sup"] = np.maximum(worst["shift_sup"], z.sup_l2() ** 2 / data)
         worst["shift_diss"] = np.maximum(worst["shift_diss"], z.st_v(spec.operator) ** 2 / data)
 
-        rho_f = solve_sourced(spec, v, f)
+        # the sourced solve, the state and the adjoint march on one set of factors
+        steps = StepSolver(spec, v)
+        rho_f = solve_sourced(spec, v, f, steps=steps)
         worst["src_sup"] = np.maximum(worst["src_sup"], rho_f.sup_l2() ** 2 / (e2 * data))
         worst["src_diss"] = np.maximum(worst["src_diss"],
                                        rho_f.st_v(spec.operator) ** 2 / (e2 * data))
 
-        e = kkt_residual(spec, v)
+        e = kkt_residual(spec, v, steps=steps)
         rho, q = e.rho, e.q
         worst["supl2"] = np.maximum(worst["supl2"],
                                     rho.sup_l2() / (e1 * l2_norm(grid.dx, rho0)))
@@ -443,8 +446,8 @@ def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
         # q's terminal datum: kkt_residual takes rho(T) - spec.rho_target, and that is target
         terminal = rho.final - target
         sup_t = float(np.max(np.abs(terminal)))
-        steps = np.arange(grid.nt, 0, -1)  # nt - n + 1 for n = 1..nt
-        bounds = (1.0 - grid.dt * v.theta) ** (-steps.astype(float)) * sup_t
+        levels = np.arange(grid.nt, 0, -1)  # nt - n + 1 for n = 1..nt
+        bounds = (1.0 - grid.dt * v.theta) ** (-levels.astype(float)) * sup_t
         sups = np.max(np.abs(q.values[1:]), axis=1)
         worst["adj_step"] = np.maximum(worst["adj_step"], np.max(sups / bounds))
         denom = e1 * (l2_norm(grid.dx, rho0) + l2_norm(grid.dx, target))
@@ -507,7 +510,7 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
 
         # duality pairing over its Cauchy-Schwarz bound dx |r| |y_T|; the
         # bound is 0 when rho(T) meets the target, and the NaN of 0/0 fails
-        y = solve_linearized(spec, v, w, rho)
+        y = solve_linearized(spec, v, w, rho, steps=e.steps)
         r = rho.final - spec.rho_target
         lhs = spec.grid.dx * float(np.dot(r, y.final))
         rhs = spec.control_dot(w.values * rho.restrict_omega(), e.q.restrict_omega())

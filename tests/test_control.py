@@ -248,6 +248,23 @@ class TestStepReuse:
                  for pair in ((w, d), (d, w), (w, w))]
         assert shared == fresh
 
+    @pytest.mark.parametrize("kind", ["varying", "blocks"])
+    def test_kkt_residual_on_shared_steps_equals_fresh(self, kind, builds):
+        rng = np.random.default_rng(29)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
+        u = step_control(kind, spec, rng)
+        steps = StepSolver(spec, u)
+        shared = kkt_residual(spec, u, steps=steps)
+        assert len(builds) == 1
+        fresh = kkt_residual(spec, u)
+        assert len(builds) == 3
+        for name in ("rho", "q", "image", "u"):
+            assert np.array_equal(getattr(shared, name).values, getattr(fresh, name).values)
+        assert np.array_equal(shared.g, fresh.g)
+        assert (shared.j, shared.residual) == (fresh.j, fresh.residual)
+        # the factors are not kept: a Hessian builds its own on first use
+        assert "steps" not in vars(shared)
+
 
 class TestProjection:
     def test_clipping_examples(self):

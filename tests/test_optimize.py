@@ -1,17 +1,21 @@
 """Projected gradient, fixed-point iteration, and the multistart probe."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from fracctrl import optimize
 from fracctrl.control import kkt_residual, uniqueness_condition
 from fracctrl.fracop import Grid
 from fracctrl.optimize import (
     OptimOptions,
+    _armijo_step,
     fixed_point,
     multistart_uniqueness,
     projected_gradient,
 )
-from fracctrl.pdesolve import ControlField, constant_control
+from fracctrl.pdesolve import ControlField, StepSolver, constant_control
 from fracctrl.problem import ProblemSpec, bump_profile
 
 from test_pdesolve import make_spec, random_control
@@ -22,6 +26,32 @@ def small_benchmark(n=31, nt=40):
     grid = Grid.from_window(a=-1.0, b=1.0, n=n, window=(-0.5, 0.5), T=0.5, nt=nt)
     return ProblemSpec(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
                        rho0=bump_profile(grid, 0.1), rho_target=bump_profile(grid, 0.05))
+
+
+def backtracking_instance():
+    """Larger data and alpha = 0.1: most iterations reject a trial first."""
+    grid = Grid.from_window(a=-1.0, b=1.0, n=15, window=(-0.5, 0.5), T=0.5, nt=20)
+    spec = ProblemSpec(grid=grid, s=0.5, alpha=0.1, vmin=-1.0, vmax=1.0,
+                       rho0=bump_profile(grid, 1.0), rho_target=bump_profile(grid, 0.8))
+    return spec, random_control(spec, np.random.default_rng(0))
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """For every StepSolver build, the number of solvers still alive when it
+    began; and the state solves optimize makes through its own binding."""
+    live, at_build, trials = weakref.WeakSet(), [], []
+    init, solve_state = StepSolver.__init__, optimize.solve_state
+
+    def counted(self, *args, **kwargs):
+        at_build.append(len(live))
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    monkeypatch.setattr(StepSolver, "__init__", counted)
+    monkeypatch.setattr(optimize, "solve_state",
+                        lambda *args, **kwargs: trials.append(1) or solve_state(*args, **kwargs))
+    return at_build, trials
 
 
 class TestOptions:
@@ -96,6 +126,33 @@ class TestProjectedGradient:
         res = projected_gradient(spec, start, OptimOptions())
         assert np.all((res.u.values >= spec.vmin) & (res.u.values <= spec.vmax))
         assert res.status == "converged"
+
+
+class TestTrialFactors:
+    """An accepted Armijo trial's state factors serve its adjoint."""
+
+    def test_builds_are_the_start_plus_one_per_trial(self, solvers):
+        at_build, trials = solvers
+        spec, start = backtracking_instance()
+        res = projected_gradient(spec, start, OptimOptions(max_iters=10, kkt_tol=1e-12))
+        assert len(trials) > res.iterations == 10  # some trials were rejected
+        # the start's state and adjoint, then one build per trial
+        assert len(at_build) == 2 + len(trials)
+
+    def test_no_solver_is_built_while_another_lives(self, solvers):
+        at_build, trials = solvers
+        spec, start = backtracking_instance()
+        projected_gradient(spec, start, OptimOptions(max_iters=10, kkt_tol=1e-12))
+        assert at_build and max(at_build) == 0
+
+    def test_frozen_trial_builds_nothing(self, solvers):
+        at_build, trials = solvers
+        spec, start = backtracking_instance()
+        e = kkt_residual(spec, start)
+        at_build.clear()
+        # a step far below float resolution leaves every entry of u unchanged
+        assert _armijo_step(spec, e, OptimOptions(sigma0=1e-300)) is None
+        assert at_build == [] and trials == []
 
 
 class TestFixedPoint:

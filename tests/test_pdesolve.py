@@ -344,6 +344,56 @@ class TestDenseStepPath:
             solve_adjoint(spec, constant_control(spec.grid, 0.0), terminal)
 
 
+class TestSharedSteps:
+    """A solve handed steps=StepSolver(spec, v) marches on those factors and
+    gives bitwise what a fresh build gives; a solver built for anything else
+    is refused."""
+
+    @staticmethod
+    def _solves(spec, v, f, terminal, w, steps=None):
+        rho = solve_state(spec, v, steps=steps)
+        return [rho, solve_sourced(spec, v, f, steps=steps),
+                solve_adjoint(spec, v, terminal, steps=steps),
+                solve_linearized(spec, v, w, rho, steps=steps)]
+
+    @pytest.mark.parametrize("kind", ["varying", "blocks"])
+    def test_shared_steps_equal_fresh_builds(self, kind):
+        rng = np.random.default_rng(62)
+        spec = make_spec(n=24, nt=12, rho0=rng.standard_normal(24))
+        v = step_control(kind, spec, rng)
+        f = rng.standard_normal((12, 24))
+        terminal = rng.standard_normal(24)
+        w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+        shared = self._solves(spec, v, f, terminal, w, steps=StepSolver(spec, v))
+        fresh = self._solves(spec, v, f, terminal, w)
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("wrong", ["other control", "equal copy", "other spec", "shifted"])
+    def test_steps_built_for_other_matrices_rejected(self, wrong):
+        rng = np.random.default_rng(63)
+        spec = make_spec(n=24, nt=6, rho0=rng.standard_normal(24))
+        v = random_control(spec, rng)
+        steps = {
+            "other control": lambda: StepSolver(spec, random_control(spec, rng)),
+            # same values, another object: the guard checks identity
+            "equal copy": lambda: StepSolver(spec, v.like(v.values.copy())),
+            "other spec": lambda: StepSolver(make_spec(n=24, nt=6), v),
+            "shifted": lambda: StepSolver(spec, v, shift=v.sup),
+        }[wrong]()
+        rho = solve_state(spec, v)
+        w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+        calls = [
+            lambda: solve_state(spec, v, steps=steps),
+            lambda: solve_sourced(spec, v, np.zeros((6, 24)), steps=steps),
+            lambda: solve_adjoint(spec, v, np.ones(24), steps=steps),
+            lambda: solve_linearized(spec, v, w, rho, steps=steps),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="steps must be StepSolver"):
+                call()
+
+
 class TestFieldContainers:
     def test_time_field_shape_check(self):
         grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
