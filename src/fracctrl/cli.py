@@ -296,7 +296,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # with the adjoint, the state and adjoint march on one set of factors
-    steps = StepSolver(spec, v) if args.adjoint else None
+    steps = StepSolver(spec, v)
     rho = solve_state(spec, v, steps=steps)
     q = kkt_residual(spec, v, rho=rho, steps=steps).q if args.adjoint else None
     del steps  # release the factors before any file is written

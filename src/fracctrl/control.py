@@ -108,14 +108,14 @@ def gradient(spec: ProblemSpec, v: ControlField):
     return e.g, e.rho, e.q
 
 
-def hessian_bilinear(spec: ProblemSpec, e: Evaluation, w: ControlField,
-                     d: ControlField) -> float:
+def hessian_bilinear(e: Evaluation, w: ControlField, d: ControlField) -> float:
     """Second derivative of the discrete cost at the evaluated control e.u
     along the direction pair (w, d).
 
     Exact for the discrete objective and symmetric in (w, d) by construction.
     The linearized solves run on e.steps; when d is w one serves both.
     """
+    spec = e.spec
     y_w = solve_linearized(spec, e.u, w, e.rho, steps=e.steps)
     y_d = y_w if d is w else solve_linearized(spec, e.u, d, e.rho, steps=e.steps)
     cross = spec.control_dot(d.values * y_w.restrict_omega() + w.values * y_d.restrict_omega(),
@@ -203,7 +203,7 @@ class CoercivityReport:
     n_used: int
 
 
-def check_coercivity(spec: ProblemSpec, e: Evaluation, tau: float, n_samples: int,
+def check_coercivity(e: Evaluation, tau: float, n_samples: int,
                      seed: int = 0) -> CoercivityReport:
     """Sample random directions projected into the tau-critical cone of the
     evaluated control e.u and report the minimum Hessian Rayleigh quotient
@@ -215,6 +215,7 @@ def check_coercivity(spec: ProblemSpec, e: Evaluation, tau: float, n_samples: in
     exact zero, and treating that noise as strong activity would collapse
     the cone to {0}.
     """
+    spec = e.spec
     tau_eff = max(tau, 1e-6 * (spec.alpha * spec.theta + e.rho.linf() * e.q.linf()))
     rng = np.random.default_rng(seed)
     quotients = []
@@ -225,7 +226,7 @@ def check_coercivity(spec: ProblemSpec, e: Evaluation, tau: float, n_samples: in
         if norm < 1e-10:
             continue
         direction = ControlField(proj, spec.grid)
-        value = hessian_bilinear(spec, e, direction, direction)
+        value = hessian_bilinear(e, direction, direction)
         quotients.append(value / norm**2)
     if not quotients:
         return CoercivityReport(min_quotient=np.nan, n_used=0)

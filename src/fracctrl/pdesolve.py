@@ -18,9 +18,9 @@ Controls and directions live on the omega nodes at the implicit levels
 
 Validation happens once per object, not once per step: ProblemSpec and
 ControlField reject non-finite data when they are built, so the dense step
-path hands its matrices and right-hand sides to LAPACK unchecked, and each
-march checks its finished trajectory once, raising SolverError that names
-the first non-finite level.
+path hands its matrices and right-hand sides to LAPACK unchecked, and
+StepSolver.march, the one loop over time levels, checks its finished
+trajectory once, raising SolverError that names the first non-finite level.
 """
 
 from __future__ import annotations
@@ -145,22 +145,26 @@ class StepSolver:
     """Cholesky factors of the step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
 
     One factor per distinct level: rows of v holding the same bytes share one
-    (-0.0 and 0.0 rows do not).  The matrices are symmetric, so the same
-    factors serve the forward and the transposed (adjoint) sweeps: the adjoint
-    is the exact transpose of the forward map.  At shift 0 the build raises
-    StabilityError unless dt*theta <= 1/2; a shift >= sup|v| needs no guard.
+    (-0.0 and 0.0 rows do not).  The matrices are symmetric, so march runs
+    the forward and the transposed (adjoint) sweeps on the same factors: the
+    adjoint is the exact transpose of the forward map.  At shift 0 the build
+    raises StabilityError unless dt*theta <= 1/2; a shift >= sup|v| makes
+    every M_n an M-matrix for any dt and needs no guard.
     spec, v and shift record what the factors were built for, so a solve_*
     handed steps= can refuse a solver built for other matrices.
 
     The solver trusts its inputs: spec and v were checked for finite values
     when they were built, so each factor is computed in place by potrf and
     each solve is one potrs call, neither scanning for non-finite entries.
-    _march checks the trajectory it assembles.
+    march checks the trajectory it assembles.
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
-        if shift == 0.0:
-            _check_stability(spec, v)
+        if shift == 0.0 and (margin := spec.grid.dt * v.theta) > STABILITY_MARGIN:
+            raise StabilityError(
+                f"dt*theta = {margin:.6g} exceeds the stability margin {STABILITY_MARGIN}; "
+                f"refine the time grid or shrink the control box"
+            )
         self.spec, self.v, self.shift = spec, v, shift
         grid = spec.grid
         dt = grid.dt
@@ -183,14 +187,31 @@ class StepSolver:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""
         return cholesky_solve(self._factors[level - 1], rhs)
 
+    def march(self, init: np.ndarray, source: np.ndarray | None = None,
+              backward: bool = False) -> TimeField:
+        """Solve M_k x^k = x^(prev) + dt * source_k level by level.
 
-def _check_stability(spec: ProblemSpec, v: ControlField) -> None:
-    margin = spec.grid.dt * v.theta
-    if margin > STABILITY_MARGIN:
-        raise StabilityError(
-            f"dt*theta = {margin:.6g} exceeds the stability margin {STABILITY_MARGIN}; "
-            f"refine the time grid or shrink the control box"
-        )
+        Forward, the levels run 1..nt from x^0 = init.  Backward (the adjoint
+        sweep), they run nt..1 from init as the terminal datum, and slot 0
+        repeats level 1.  Either direction adds dt * source_k when a source is
+        given.  SolverError names the first non-finite level in march order.
+        """
+        grid = self.spec.grid
+        dt = grid.dt
+        levels = range(grid.nt, 0, -1) if backward else range(1, grid.nt + 1)
+        out = np.empty((grid.nt + 1, grid.n))
+        cur = np.asarray(init, dtype=float)
+        for k in levels:
+            rhs = cur if source is None else cur + dt * source[k - 1]
+            cur = self.solve(k, rhs)
+            out[k] = cur
+        finite = np.isfinite(out).all(axis=1)
+        for k in levels:
+            if not finite[k]:
+                raise SolverError(f"non-finite {'multiplier' if backward else 'state'} "
+                                  f"at level {k}")
+        out[0] = out[1] if backward else init
+        return TimeField(out, grid)
 
 
 def _steps_for(spec: ProblemSpec, v: ControlField, steps: StepSolver | None) -> StepSolver:
@@ -213,38 +234,6 @@ def _as_source(grid: Grid, f) -> np.ndarray:
     return arr
 
 
-def _check_finite(values: np.ndarray, levels, what: str) -> None:
-    """Raise SolverError naming the first of levels, in the order given, whose
-    snapshot holds a non-finite entry."""
-    finite = np.isfinite(values).all(axis=1)
-    for k in levels:
-        if not finite[k]:
-            raise SolverError(f"non-finite {what} at level {k}")
-
-
-def _march(spec: ProblemSpec, steps: StepSolver, init: np.ndarray,
-           source: np.ndarray | None, backward: bool = False) -> TimeField:
-    """Solve M_k x^k = x^(prev) + dt * source_k level by level.
-
-    Forward, the levels run 1..nt from x^0 = init.  Backward (the adjoint
-    sweep), they run nt..1 from init as the terminal datum, and slot 0
-    repeats level 1.  Either direction adds dt * source_k when a source is
-    given.  The first non-finite level is named in march order.
-    """
-    grid = spec.grid
-    dt = grid.dt
-    levels = range(grid.nt, 0, -1) if backward else range(1, grid.nt + 1)
-    out = np.empty((grid.nt + 1, grid.n))
-    cur = np.asarray(init, dtype=float)
-    for k in levels:
-        rhs = cur if source is None else cur + dt * source[k - 1]
-        cur = steps.solve(k, rhs)
-        out[k] = cur
-    _check_finite(out, levels, "multiplier" if backward else "state")
-    out[0] = out[1] if backward else init
-    return TimeField(out, grid)
-
-
 def solve_state(spec: ProblemSpec, v: ControlField,
                 steps: StepSolver | None = None) -> TimeField:
     """Trajectory of the homogeneous bilinear equation from rho0.
@@ -252,13 +241,13 @@ def solve_state(spec: ProblemSpec, v: ControlField,
     steps, when given, must be StepSolver(spec, v); it is built otherwise.
     The same holds for every solve_* that takes steps=.
     """
-    return _march(spec, _steps_for(spec, v, steps), spec.rho0, None)
+    return _steps_for(spec, v, steps).march(spec.rho0)
 
 
 def solve_sourced(spec: ProblemSpec, v: ControlField, f,
                   steps: StepSolver | None = None) -> TimeField:
     """Trajectory with an additive source f at the implicit levels."""
-    return _march(spec, _steps_for(spec, v, steps), spec.rho0, _as_source(spec.grid, f))
+    return _steps_for(spec, v, steps).march(spec.rho0, _as_source(spec.grid, f))
 
 
 def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
@@ -270,8 +259,7 @@ def solve_shifted(spec: ProblemSpec, v: ControlField, f) -> TimeField:
     r = v.sup
     grid = spec.grid
     scale = np.exp(-r * grid.dt * np.arange(1, grid.nt + 1))
-    return _march(spec, StepSolver(spec, v, shift=r), spec.rho0,
-                  scale[:, None] * _as_source(grid, f))
+    return StepSolver(spec, v, shift=r).march(spec.rho0, scale[:, None] * _as_source(grid, f))
 
 
 def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
@@ -286,7 +274,7 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (spec.grid.n,):
         raise ValueError(f"terminal datum shape {terminal.shape} != {(spec.grid.n,)}")
-    return _march(spec, _steps_for(spec, v, steps), terminal, None, backward=True)
+    return _steps_for(spec, v, steps).march(terminal, backward=True)
 
 
 def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
@@ -302,7 +290,7 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
         raise ValueError("state trajectory was computed on a different grid")
     source = np.zeros((grid.nt, grid.n))
     source[:, grid.omega_mask] = w.values * rho.restrict_omega()
-    return _march(spec, _steps_for(spec, v, steps), np.zeros(grid.n), source)
+    return _steps_for(spec, v, steps).march(np.zeros(grid.n), source)
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:

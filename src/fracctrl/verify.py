@@ -517,11 +517,11 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
         scale = spec.grid.dx * np.linalg.norm(r) * np.linalg.norm(y.final)
         worst_dual = np.maximum(worst_dual, abs(lhs - rhs) / scale)
 
-        h_wd = hessian_bilinear(spec, e, w, d)
-        h_dw = hessian_bilinear(spec, e, d, w)
+        h_wd = hessian_bilinear(e, w, d)
+        h_dw = hessian_bilinear(e, d, w)
         worst_sym = np.maximum(worst_sym, abs(h_wd - h_dw) / abs(h_wd))
 
-        h_ww = hessian_bilinear(spec, e, w, w)
+        h_ww = hessian_bilinear(e, w, w)
         eps2 = 1e-3
         sd = (cost(spec, v.like(v.values + eps2 * w.values)) - 2 * e.j
               + cost(spec, v.like(v.values - eps2 * w.values))) / eps2**2
@@ -529,16 +529,16 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
 
         eps_grid = np.array([1e-2, 1e-3, 1e-4])
         errs = []
-        for e in eps_grid:
-            pert = solve_state(spec, v.like(v.values + e * w.values))
-            errs.append(TimeField((pert.values - rho.values) / e - y.values, spec.grid).st_l2())
+        for eps in eps_grid:
+            pert = solve_state(spec, v.like(v.values + eps * w.values))
+            errs.append(TimeField((pert.values - rho.values) / eps - y.values, spec.grid).st_l2())
         slope = float(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0])
         worst_slope = np.maximum(worst_slope, abs(slope - 1.0))
 
         if case < 3:
             sweep = []
-            for e in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-                fd_e = central_difference(spec, v, w.values, e)
+            for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                fd_e = central_difference(spec, v, w.values, eps)
                 sweep.append(abs(fd_e - directional) / abs(directional))
             vshape_min = np.minimum(vshape_min, np.min(sweep))
 
@@ -670,12 +670,12 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     observed = None if uniq.holds else "smallness condition fails; observational only"
 
     # a sample in which no direction survives has min_quotient NaN, which fails every bound
-    necessary = check_coercivity(spec, optimum, tau=0.0,
+    necessary = check_coercivity(optimum, tau=0.0,
                                  n_samples=cfg.coercivity_samples, seed=cfg.seed + 2)
     report.add("second-order-necessary", necessary.min_quotient, lower=-1e-8 * spec.alpha,
                detail=f"{necessary.n_used} sampled directions on the tau = 0 critical cone")
 
-    sufficient = check_coercivity(spec, optimum, tau=1e-3 * spec.alpha,
+    sufficient = check_coercivity(optimum, tau=1e-3 * spec.alpha,
                                   n_samples=cfg.coercivity_samples, seed=cfg.seed + 3)
     report.add("second-order-sufficient", sufficient.min_quotient,
                lower=-math.inf if observed else 0.5 * spec.alpha,

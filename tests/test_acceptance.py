@@ -171,11 +171,11 @@ def test_criterion_07_hessian():
     for spec, v, w in derivative_cases(seed=207, n_cases=20):
         d = ControlField(rng.standard_normal(w.values.shape), spec.grid)
         e = kkt_residual(spec, v)
-        h_wd = hessian_bilinear(spec, e, w, d)
-        h_dw = hessian_bilinear(spec, e, d, w)
+        h_wd = hessian_bilinear(e, w, d)
+        h_dw = hessian_bilinear(e, d, w)
         worst_sym = max(worst_sym, abs(h_wd - h_dw) / abs(h_wd))
 
-        h_ww = hessian_bilinear(spec, e, w, w)
+        h_ww = hessian_bilinear(e, w, w)
         eps = 1e-3
 
         def j_at(vals):
@@ -237,9 +237,9 @@ def test_criterion_10_second_order_conditions():
                              OptimOptions(kkt_tol=1e-8))
     assert res.status == "converged"
     optimum = kkt_residual(spec, res.u)
-    sufficient = check_coercivity(spec, optimum, tau=1e-3 * spec.alpha, n_samples=64,
+    sufficient = check_coercivity(optimum, tau=1e-3 * spec.alpha, n_samples=64,
                                   seed=110)
-    necessary = check_coercivity(spec, optimum, tau=0.0, n_samples=64, seed=111)
+    necessary = check_coercivity(optimum, tau=0.0, n_samples=64, seed=111)
     ok = (sufficient.n_used > 0 and sufficient.min_quotient >= 0.5 * spec.alpha
           and necessary.n_used > 0
           and necessary.min_quotient >= -1e-8 * spec.alpha)

@@ -164,7 +164,7 @@ class TestHessian:
         u = random_control(spec, rng)
         w = random_direction(spec, rng)
         z = ControlField(np.zeros_like(w.values), spec.grid)
-        assert hessian_bilinear(spec, kkt_residual(spec, u), z, w) == 0.0
+        assert hessian_bilinear(kkt_residual(spec, u), z, w) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(24)
@@ -173,8 +173,8 @@ class TestHessian:
         w = random_direction(spec, rng)
         d = random_direction(spec, rng)
         e = kkt_residual(spec, u)
-        a = hessian_bilinear(spec, e, w, d)
-        b = hessian_bilinear(spec, e, d, w)
+        a = hessian_bilinear(e, w, d)
+        b = hessian_bilinear(e, d, w)
         assert abs(a - b) <= 1e-13 * abs(a)
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -183,7 +183,7 @@ class TestHessian:
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         u = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
-        value = hessian_bilinear(spec, kkt_residual(spec, u), w, w)
+        value = hessian_bilinear(kkt_residual(spec, u), w, w)
         eps = 1e-3
         j0 = cost(spec, u)
         jp = cost(spec, u.like(u.values + eps * w.values))
@@ -196,7 +196,7 @@ class TestHessian:
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         u = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
-        value = hessian_bilinear(spec, kkt_residual(spec, u), w, w)
+        value = hessian_bilinear(kkt_residual(spec, u), w, w)
         errs = []
         for eps in (1e-3, 1e-4):
             g_p, _, _ = gradient(spec, u.like(u.values + eps * w.values))
@@ -227,10 +227,10 @@ class TestStepReuse:
         e = kkt_residual(spec, random_control(spec, rng, scale=0.7))
         builds.clear()
         # no point is strongly active above tau, so every sample is used
-        rep = check_coercivity(spec, e, tau=1e6, n_samples=8, seed=1)
+        rep = check_coercivity(e, tau=1e6, n_samples=8, seed=1)
         assert rep.n_used == 8
         assert len(builds) == 1
-        check_coercivity(spec, e, tau=1e6, n_samples=8, seed=2)
+        check_coercivity(e, tau=1e6, n_samples=8, seed=2)
         assert len(builds) == 1
 
     @pytest.mark.parametrize("kind", ["varying", "blocks"])
@@ -239,12 +239,12 @@ class TestStepReuse:
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         u = step_control(kind, spec, rng)
         w, d = random_direction(spec, rng), random_direction(spec, rng)
-        shared = [hessian_bilinear(spec, kkt_residual(spec, u), *pair)
+        shared = [hessian_bilinear(kkt_residual(spec, u), *pair)
                   for pair in ((w, d), (d, w), (w, w))]
         # the reference builds fresh factors for every linearized solve
         monkeypatch.setattr(control, "solve_linearized",
                             lambda spec, v, w, rho, steps=None: solve_linearized(spec, v, w, rho))
-        fresh = [hessian_bilinear(spec, kkt_residual(spec, u), *pair)
+        fresh = [hessian_bilinear(kkt_residual(spec, u), *pair)
                  for pair in ((w, d), (d, w), (w, w))]
         assert shared == fresh
 
@@ -443,7 +443,7 @@ class TestCoercivity:
         rng = np.random.default_rng(33)
         spec = make_spec(target=rng.standard_normal(18), alpha=0.8)
         u = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
-        rep = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=16, seed=1)
+        rep = check_coercivity(kkt_residual(spec, u), tau=0.0, n_samples=16, seed=1)
         assert rep.n_used == 16
         assert rep.min_quotient == pytest.approx(spec.alpha, rel=1e-12)
 
@@ -454,5 +454,5 @@ class TestCoercivity:
         rng = np.random.default_rng(34)
         spec = make_spec(rho0=0.1 * np.abs(rng.standard_normal(18)) + 0.01)
         u = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
-        rep = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=4, seed=2)
+        rep = check_coercivity(kkt_residual(spec, u), tau=0.0, n_samples=4, seed=2)
         assert rep.n_used == 0 and math.isnan(rep.min_quotient)

@@ -186,6 +186,19 @@ class TestShiftedSolver:
             assert z.sup_l2() ** 2 <= 1.1 * rhs
             assert z.st_v(spec.operator) ** 2 <= 1.1 * rhs
 
+    def test_shift_keeps_m_matrices_beyond_the_margin(self):
+        # box +-40 at dt = 1/60 puts dt*theta at 2/3 > 1/2, so the unshifted
+        # build refuses; shifted by sup|v|, every M_n is a diagonally dominant
+        # M-matrix, so a nonnegative start stays nonnegative and sup-bounded
+        rng = np.random.default_rng(10)
+        spec = make_spec(n=24, nt=30, box=(-40.0, 40.0), rho0=rng.uniform(0.0, 1.0, 24))
+        v = random_control(spec, rng)
+        with pytest.raises(StabilityError, match="stability margin"):
+            solve_state(spec, v)
+        z = solve_shifted(spec, v, np.zeros((30, 24)))
+        assert np.min(z.values) >= 0.0
+        assert z.linf() <= np.max(np.abs(spec.rho0))
+
 
 class TestAdjointSolver:
     def test_zero_terminal(self):
@@ -342,6 +355,57 @@ class TestDenseStepPath:
         terminal[5] = np.nan
         with pytest.raises(SolverError, match=f"non-finite multiplier at level {nt}$"):
             solve_adjoint(spec, constant_control(spec.grid, 0.0), terminal)
+
+
+class TestMarch:
+    """StepSolver.march is the one loop over time levels, and every solve_*
+    runs through it."""
+
+    @pytest.mark.parametrize("kind", ["varying", "blocks"])
+    def test_backward_march_with_source_equals_hand_loop(self, kind):
+        # the sweep a second-order adjoint needs: backward, with a source
+        rng = np.random.default_rng(64)
+        spec = make_spec(n=24, nt=12)
+        v = step_control(kind, spec, rng)
+        terminal = rng.standard_normal(24)
+        source = rng.standard_normal((12, 24))
+        lam = StepSolver(spec, v).march(terminal, source, backward=True)
+        n, dt = spec.grid.n, spec.grid.dt
+        base = np.eye(n) + dt * spec.operator.matrix
+        x = terminal
+        for k in range(spec.grid.nt, 0, -1):
+            window = np.zeros(n)
+            window[spec.grid.omega_mask] = v.values[k - 1]
+            x = cho_solve(cho_factor(base - dt * np.diag(window)), x + dt * source[k - 1])
+            assert np.array_equal(lam.values[k], x)
+        assert np.array_equal(lam.values[0], lam.values[1])
+
+    @pytest.mark.parametrize("name", ["state", "sourced", "shifted", "adjoint", "linearized"])
+    def test_one_step_solve_per_level(self, name, monkeypatch):
+        # the benchmark counts step solves by wrapping StepSolver.solve on the
+        # class; a march that bypassed it would read 0
+        rng = np.random.default_rng(65)
+        spec = make_spec(n=24, nt=9, rho0=rng.standard_normal(24))
+        v = random_control(spec, rng)
+        f = rng.standard_normal((9, 24))
+        rho = solve_state(spec, v)
+        run = {
+            "state": lambda: solve_state(spec, v),
+            "sourced": lambda: solve_sourced(spec, v, f),
+            "shifted": lambda: solve_shifted(spec, v, f),
+            "adjoint": lambda: solve_adjoint(spec, v, rng.standard_normal(24)),
+            "linearized": lambda: solve_linearized(spec, v, random_direction(spec, rng), rho),
+        }[name]
+        levels = []
+        original = StepSolver.solve
+
+        def counted(self, level, rhs):
+            levels.append(level)
+            return original(self, level, rhs)
+
+        monkeypatch.setattr(StepSolver, "solve", counted)
+        run()
+        assert sorted(levels) == list(range(1, spec.grid.nt + 1))
 
 
 class TestSharedSteps:

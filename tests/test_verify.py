@@ -215,7 +215,7 @@ class TestRules:
         # the NaN quotient reported then must fail
         spec = small_benchmark()
         u = constant_control(spec.grid, 0.5, spec.vmin, spec.vmax)
-        coercivity = check_coercivity(spec, kkt_residual(spec, u), tau=0.0, n_samples=2)
+        coercivity = check_coercivity(kkt_residual(spec, u), tau=0.0, n_samples=2)
         assert coercivity.n_used == 0 and math.isnan(coercivity.min_quotient)
         assert not _check(coercivity.min_quotient, lower=-1e-8).passed
 
