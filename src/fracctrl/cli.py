@@ -30,6 +30,7 @@ from .pdesolve import (
     constant_control,
     export_control_csv,
     export_trajectory_csv,
+    random_admissible,
     solve_state,
 )
 from .problem import ProblemSpec, bump_profile, eigen_profile
@@ -38,7 +39,6 @@ from .verify import (
     SuiteConfig,
     central_difference,
     directional_error,
-    random_admissible,
     run_all,
     sup_envelope_ratios,
 )
@@ -75,6 +75,8 @@ class OptimizerConfig(OptimOptions):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.method not in ("pg", "fp"):
+            raise ValueError(f"method must be pg or fp, got '{self.method}'")
         check_ssc_constant(self.c_user)
 
 
@@ -103,10 +105,6 @@ def _parse_value(section: str, name: str, text: str, lineno: int):
     try:
         if section == "optimizer" and name == "sigma0":
             return None if text == "auto" else float(text)
-        if section == "optimizer" and name == "method":
-            if text not in ("pg", "fp"):
-                raise ValueError(f"method must be pg or fp, got '{text}'")
-            return text
         if section == "verify" and name == "suites":
             return tuple(part.strip() for part in text.split(",") if part.strip())
         current = getattr(_SECTIONS[section](), name)

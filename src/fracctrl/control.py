@@ -25,6 +25,7 @@ from .pdesolve import (
     solve_adjoint,
     solve_linearized,
     solve_state,
+    window_source,
 )
 from .problem import ProblemSpec
 
@@ -76,20 +77,18 @@ class Evaluation:
         return StepSolver(self.spec, self.u)
 
 
-def kkt_residual(spec: ProblemSpec, u: ControlField,
-                 rho: TimeField | None = None, q: TimeField | None = None,
+def kkt_residual(spec: ProblemSpec, u: ControlField, rho: TimeField | None = None,
                  steps: StepSolver | None = None) -> Evaluation:
     """Evaluate u: every quantity the optimizers, the Hessian and verify read.
 
-    Trajectories already computed for u may be passed; only the missing
-    solves run.  Given steps = StepSolver(spec, u), they march on it;
-    otherwise each builds its own, identical factors.  The Evaluation does
-    not keep steps.
+    A state already computed for u may be passed; the adjoint always runs.
+    Given steps = StepSolver(spec, u), the solves march on it; otherwise
+    each builds its own, identical factors.  The Evaluation does not keep
+    steps.
     """
     if rho is None:
         rho = solve_state(spec, u, steps=steps)
-    if q is None:
-        q = solve_adjoint(spec, u, rho.final - spec.rho_target, steps=steps)
+    q = solve_adjoint(spec, u, rho.final - spec.rho_target, steps=steps)
     # the projection form of the first-order condition: u = image at a KKT point
     image = project(spec, -rho.restrict_omega() * q.restrict_omega() / spec.alpha)
     return Evaluation(spec=spec, u=u, rho=rho, q=q,
@@ -108,21 +107,25 @@ def gradient(spec: ProblemSpec, v: ControlField):
     return e.g, e.rho, e.q
 
 
-def hessian_bilinear(e: Evaluation, w: ControlField, d: ControlField) -> float:
-    """Second derivative of the discrete cost at the evaluated control e.u
-    along the direction pair (w, d).
+def hessian_action(e: Evaluation, w: ControlField) -> np.ndarray:
+    """H w on the window, the derivative of the gradient field along w at the
+    evaluated control e.u: alpha*w + y*q + rho*p.
 
-    Exact for the discrete objective and symmetric in (w, d) by construction.
-    The linearized solves run on e.steps; when d is w one serves both.
+    y is the linearized state along w and p the second-order adjoint, the
+    derivative of the adjoint along w: the backward march from y(T) with
+    source w*q.  Both march on e.steps, so p is the exact transpose of the
+    linearized map and <Hw, d> = <w, Hd> holds to round-off.
     """
     spec = e.spec
-    y_w = solve_linearized(spec, e.u, w, e.rho, steps=e.steps)
-    y_d = y_w if d is w else solve_linearized(spec, e.u, d, e.rho, steps=e.steps)
-    cross = spec.control_dot(d.values * y_w.restrict_omega() + w.values * y_d.restrict_omega(),
-                             e.q.restrict_omega())
-    terminal = spec.grid.dx * float(np.dot(y_w.final, y_d.final))
-    reg = spec.alpha * spec.control_dot(d.values, w.values)
-    return cross + terminal + reg
+    y = solve_linearized(spec, e.u, w, e.rho, steps=e.steps)
+    rho, q = e.rho.restrict_omega(), e.q.restrict_omega()
+    p = e.steps.march(y.final, window_source(spec.grid, w.values * q), backward=True)
+    return spec.alpha * w.values + y.restrict_omega() * q + rho * p.restrict_omega()
+
+
+def hessian_bilinear(e: Evaluation, w: ControlField, d: ControlField) -> float:
+    """Second derivative of the discrete cost at e.u along (w, d): <Hw, d>."""
+    return e.spec.control_dot(hessian_action(e, w), d.values)
 
 
 def active_set(g: np.ndarray, tau: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import Evaluation, cost_from_state, kkt_residual, project
-from .pdesolve import ControlField, StepSolver, TimeField, solve_state
+from .pdesolve import ControlField, StepSolver, TimeField, random_admissible, solve_state
 from .problem import ProblemSpec
 
 # Armijo trials per iteration before the iterate counts as stalled.
@@ -181,12 +181,8 @@ def multistart_uniqueness(spec: ProblemSpec, k_starts: int, opts: OptimOptions) 
     the one against the other when the uniqueness condition holds.
     """
     rng = np.random.default_rng(opts.seed)
-    shape = (spec.grid.nt, spec.grid.n_omega)
-    results = []
-    for _ in range(k_starts):
-        start = ControlField(rng.uniform(spec.vmin, spec.vmax, size=shape), spec.grid,
-                             vmin=spec.vmin, vmax=spec.vmax)
-        results.append(projected_gradient(spec, start, opts))
+    results = [projected_gradient(spec, random_admissible(spec, rng), opts)
+               for _ in range(k_starts)]
     max_pair = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):

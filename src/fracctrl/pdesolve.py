@@ -141,6 +141,13 @@ def constant_control(grid: Grid, value: float, vmin=None, vmax=None) -> ControlF
                         vmin=vmin, vmax=vmax)
 
 
+def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlField:
+    """Uniform random control on the box shrunk by scale, carrying the full box."""
+    vals = rng.uniform(scale * spec.vmin, scale * spec.vmax,
+                       size=(spec.grid.nt, spec.grid.n_omega))
+    return ControlField(vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
+
+
 class StepSolver:
     """Cholesky factors of the step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
 
@@ -226,6 +233,13 @@ def _steps_for(spec: ProblemSpec, v: ControlField, steps: StepSolver | None) -> 
     return steps
 
 
+def window_source(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Control-shaped values on the window as an (nt, n) source, zero off it."""
+    source = np.zeros((grid.nt, grid.n))
+    source[:, grid.omega_mask] = values
+    return source
+
+
 def _as_source(grid: Grid, f) -> np.ndarray:
     """Source at the implicit levels 1..nt as an (nt, n) array."""
     arr = np.asarray(f, dtype=float)
@@ -288,9 +302,8 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
     grid = spec.grid
     if rho.grid != grid:
         raise ValueError("state trajectory was computed on a different grid")
-    source = np.zeros((grid.nt, grid.n))
-    source[:, grid.omega_mask] = w.values * rho.restrict_omega()
-    return _steps_for(spec, v, steps).march(np.zeros(grid.n), source)
+    return _steps_for(spec, v, steps).march(np.zeros(grid.n),
+                                            window_source(grid, w.values * rho.restrict_omega()))
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:

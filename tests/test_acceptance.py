@@ -196,7 +196,7 @@ def test_criterion_08_kkt_projection():
     opts = OptimOptions(kkt_tol=1e-8)
     pg = projected_gradient(spec, constant_control(spec.grid, 0.3, spec.vmin, spec.vmax),
                             opts)
-    kkt = kkt_residual(spec, pg.u, rho=pg.rho, q=pg.q)
+    kkt = kkt_residual(spec, pg.u, rho=pg.rho)
     rng = np.random.default_rng(108)
     vi = sampled_vi_min(spec, pg.u, kkt.g, 100, rng)
     fp = fixed_point(spec, constant_control(spec.grid, -0.2, spec.vmin, spec.vmax),

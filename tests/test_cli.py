@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, exit codes, artifact layout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError) as exc:
             build(value)
         assert str(exc.value) == f"c_user must be finite and nonnegative, got {value}"
+
+    def test_unknown_method_rejected_when_built(self):
+        # the optimizer block owns the method rule, so a config built in code
+        # cannot reach cmd_optimize with a method it would not run
+        with pytest.raises(ValueError, match="method must be pg or fp, got 'newton'"):
+            OptimizerConfig(method="newton")
+        with pytest.raises(ValueError, match="'newton'"):
+            replace(OptimizerConfig(), method="newton")
 
     def test_cli_filled_suite_fields_are_not_keys(self):
         for key in ("verify.spec", "verify.c_user", "optimizer.max_backtracks"):
@@ -358,6 +367,13 @@ class TestBadInput:
         config.write_text(TINY + f"verify.suites = {suites}\n")
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_method_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "optimizer.method = x\n")
+        assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "method must be pg or fp, got 'x'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

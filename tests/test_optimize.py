@@ -225,7 +225,7 @@ def test_variational_inequality_at_tight_residual():
     res = fixed_point(spec, constant_control(spec.grid, 0.1, spec.vmin, spec.vmax),
                       OptimOptions(kkt_tol=1e-10, fp_damping=1.0))
     assert res.status == "converged"
-    report = kkt_residual(spec, res.u, rho=res.rho, q=res.q)
+    report = kkt_residual(spec, res.u, rho=res.rho)
     assert report.residual <= 1e-10
     slack = sampled_vi_min(spec, res.u, report.g, 100, np.random.default_rng(60))
     assert slack >= -1e-10

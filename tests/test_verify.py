@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from fracctrl import verify
+from fracctrl import control, verify
 from fracctrl.control import check_coercivity, kkt_residual
 from fracctrl.fracop import Grid
 from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
-from fracctrl.pdesolve import ControlField, constant_control, solve_sourced, source_vstar_norm
+from fracctrl.pdesolve import (ControlField, constant_control, solve_sourced, source_vstar_norm,
+                               window_source)
 from fracctrl.problem import ProblemSpec, bump_profile
 from fracctrl.verify import (
     CLAIMS,
@@ -238,6 +239,20 @@ class TestRules:
         assert check.status == "FAIL"
 
 
+def test_second_order_adjoint_that_drops_the_last_source_fails_symmetry(monkeypatch):
+    # a mutant second-order adjoint whose source loses level nt is no longer
+    # the linearized solver's transpose; <Hw,d> = <Hd,w> must catch it
+    def last_level_lost(grid, values):
+        source = window_source(grid, values)
+        source[-1] = 0.0
+        return source
+
+    monkeypatch.setattr(control, "window_source", last_level_lost)
+    report = run_derivative_suite(small_suite_config())
+    check = next(c for c in report.checks if c.name == "hessian-symmetry")
+    assert check.status == "FAIL"
+
+
 def _large_data_instance():
     grid = Grid.from_window(a=-1.0, b=1.0, n=31, window=(-0.5, 0.5), T=0.5, nt=40)
     return ProblemSpec(grid=grid, s=0.5, alpha=0.1, vmin=-1.0, vmax=1.0,
@@ -275,7 +290,7 @@ def test_converged_status_is_the_kkt_bound(case):
     assert result.status == status
     assert (result.status == "converged") == (result.kkt_final <= opts.kkt_tol)
     # and kkt_residual recomputes the same numbers from the returned fields
-    kkt = kkt_residual(spec, result.u, rho=result.rho, q=result.q)
+    kkt = kkt_residual(spec, result.u, rho=result.rho)
     assert kkt.residual == result.kkt_final
     assert kkt.j == result.j_final
 
