@@ -90,8 +90,10 @@ class OptimResult:
 def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> OptimResult:
     """Evaluate the projected start, then replace the iterate by
     step(spec, e, opts) until it is non-finite, meets kkt_tol or spends
-    max_iters updates, or until step returns None (stalled)."""
-    e = kkt_residual(spec, project(spec, v0))
+    max_iters updates, or until step returns None (stalled).  Each evaluated
+    control marches its state and adjoint on one StepSolver."""
+    u0 = project(spec, v0)
+    e = kkt_residual(spec, u0, steps=StepSolver(spec, u0))
     j_hist, kkt_hist = [e.j], [e.residual]
     status = None
     while status is None:
@@ -150,7 +152,8 @@ def _fixed_point_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions) -> E
     new_vals = (1.0 - opts.fp_damping) * e.u.values + opts.fp_damping * e.image.values
     if spec.control_norm(new_vals - e.u.values) < 1e-14:
         return None
-    return kkt_residual(spec, ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax))
+    u = ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
+    return kkt_residual(spec, u, steps=StepSolver(spec, u))
 
 
 def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> OptimResult:

@@ -53,7 +53,9 @@ class StabilityError(RuntimeError):
 
 @dataclass
 class TimeField:
-    """Space-time trajectory: nt+1 snapshots of length n (index 0 is t=0)."""
+    """Space-time trajectory: nt+1 snapshots of length n (index 0 is t=0), or a
+    block (nt+1, n, k) of k trajectories, whose final and restrict_omega keep
+    the block axis; the norms read one trajectory."""
 
     values: np.ndarray
     grid: Grid
@@ -61,7 +63,7 @@ class TimeField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.grid.nt + 1, self.grid.n)
-        if self.values.shape != expected:
+        if self.values.shape[:2] != expected or self.values.ndim > 3:
             raise ValueError(f"trajectory shape {self.values.shape} != {expected}")
 
     @property
@@ -95,7 +97,7 @@ class TimeField:
         return float(np.sqrt(dt * total))
 
     def restrict_omega(self) -> np.ndarray:
-        """Values on the omega nodes at levels 1..nt, control-shaped (nt, n_omega)."""
+        """Values on the omega nodes at levels 1..nt, control-shaped (nt, n_omega[, k])."""
         return self.values[1:, self.grid.omega_mask]
 
 
@@ -202,17 +204,21 @@ class StepSolver:
         sweep), they run nt..1 from init as the terminal datum, and slot 0
         repeats level 1.  Either direction adds dt * source_k when a source is
         given.  SolverError names the first non-finite level in march order.
+
+        init (n, k) and source (nt, n, k) march a block of k columns, one
+        solve with k right-hand sides per level; potrs solves the columns
+        independently, so column j is bitwise the march of column j alone.
         """
         grid = self.spec.grid
         dt = grid.dt
         levels = range(grid.nt, 0, -1) if backward else range(1, grid.nt + 1)
-        out = np.empty((grid.nt + 1, grid.n))
         cur = np.asarray(init, dtype=float)
+        out = np.empty((grid.nt + 1,) + cur.shape)
         for k in levels:
             rhs = cur if source is None else cur + dt * source[k - 1]
             cur = self.solve(k, rhs)
             out[k] = cur
-        finite = np.isfinite(out).all(axis=1)
+        finite = np.isfinite(out).reshape(grid.nt + 1, -1).all(axis=1)
         for k in levels:
             if not finite[k]:
                 raise SolverError(f"non-finite {'multiplier' if backward else 'state'} "
@@ -234,8 +240,9 @@ def _steps_for(spec: ProblemSpec, v: ControlField, steps: StepSolver | None) -> 
 
 
 def window_source(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Control-shaped values on the window as an (nt, n) source, zero off it."""
-    source = np.zeros((grid.nt, grid.n))
+    """Control-shaped values on the window as an (nt, n) source, zero off it;
+    a block of shape (nt, n_omega, k) gives an (nt, n, k) source."""
+    source = np.zeros((grid.nt, grid.n) + values.shape[2:])
     source[:, grid.omega_mask] = values
     return source
 

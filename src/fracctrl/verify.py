@@ -512,7 +512,7 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
         worst_dual = np.maximum(worst_dual, abs(lhs - rhs) / scale)
 
         # the symmetry error over its Cauchy-Schwarz scale, which cannot cancel
-        hw, hd = hessian_action(e, w), hessian_action(e, d)
+        hw, hd = hessian_action(e, np.stack([w.values, d.values]))
         h_wd, h_dw = spec.control_dot(hw, d.values), spec.control_dot(hd, w.values)
         cs = min(spec.control_norm(hw) * spec.control_norm(d.values),
                  spec.control_norm(hd) * spec.control_norm(w.values))
@@ -555,8 +555,9 @@ def _lipschitz_ratios(spec: ProblemSpec, pairs) -> tuple[float, float]:
     op = spec.operator
     state_ratio = adj_ratio = 0.0
     for v1, v2 in pairs:
-        ev1, ev2 = (kkt_residual(spec, ControlField(v, spec.grid, spec.vmin, spec.vmax))
-                    for v in (v1, v2))
+        u1, u2 = (ControlField(v, spec.grid, spec.vmin, spec.vmax) for v in (v1, v2))
+        # each control's state and adjoint march on one set of factors
+        ev1, ev2 = (kkt_residual(spec, u, steps=StepSolver(spec, u)) for u in (u1, u2))
         dv = spec.control_norm(v1 - v2)
         num = TimeField(ev1.rho.values - ev2.rho.values, spec.grid).st_v(op)
         state_ratio = np.maximum(state_ratio, num / dv)

@@ -5,6 +5,7 @@ run writes nothing to the working tree."""
 
 import tempfile
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -14,3 +15,20 @@ set_hypothesis_home_dir(_storage.name)
 settings.register_profile("fracctrl", derandomize=True, database=None, deadline=None,
                           max_examples=200)
 settings.load_profile("fracctrl")
+
+
+@pytest.fixture
+def step_solves(monkeypatch):
+    """The level of every StepSolver.solve call made while the test runs; the
+    benchmark counts step solves by wrapping the same method on the class."""
+    from fracctrl.pdesolve import StepSolver
+
+    levels = []
+    original = StepSolver.solve
+
+    def counted(self, level, rhs):
+        levels.append(level)
+        return original(self, level, rhs)
+
+    monkeypatch.setattr(StepSolver, "solve", counted)
+    return levels

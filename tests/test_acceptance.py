@@ -13,6 +13,7 @@ from fracctrl.control import (
     check_coercivity,
     cost_from_state,
     gradient,
+    hessian_action,
     hessian_bilinear,
     kkt_residual,
     uniqueness_condition,
@@ -173,7 +174,12 @@ def test_criterion_07_hessian():
         e = kkt_residual(spec, v)
         h_wd = hessian_bilinear(e, w, d)
         h_dw = hessian_bilinear(e, d, w)
-        worst_sym = max(worst_sym, abs(h_wd - h_dw) / abs(h_wd))
+        # over the Cauchy-Schwarz scale min(|Hw||d|, |Hd||w|), which cannot
+        # cancel as |<Hw,d>| can
+        hw, hd = hessian_action(e, np.stack([w.values, d.values]))
+        cs = min(spec.control_norm(hw) * spec.control_norm(d.values),
+                 spec.control_norm(hd) * spec.control_norm(w.values))
+        worst_sym = max(worst_sym, abs(h_wd - h_dw) / cs)
 
         h_ww = hessian_bilinear(e, w, w)
         eps = 1e-3

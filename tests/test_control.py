@@ -236,11 +236,8 @@ class TestHessianAction:
         shape = (grid.nt, grid.n_omega)
         dim = grid.nt * grid.n_omega
         assert dim == 100
-        H = np.empty((dim, dim))
-        for i in range(dim):
-            unit = np.zeros(dim)
-            unit[i] = 1.0
-            H[:, i] = hessian_action(e, ControlField(unit.reshape(shape), grid)).ravel()
+        # one block action on every unit direction: row i is H e_i
+        H = hessian_action(e, np.eye(dim).reshape((dim,) + shape)).reshape(dim, dim).T
         assert np.max(np.abs(H - H.T)) <= 1e-15 * np.linalg.norm(H, 2)
         for _ in range(4):
             w = random_direction(e.spec, rng)
@@ -251,21 +248,30 @@ class TestHessianAction:
                 assert abs(paired - ref) <= 1e-13 * abs(ref)
                 assert abs(hessian_bilinear(e, a, b) - ref) <= 1e-13 * abs(ref)
 
-    def test_two_marches_on_the_evaluation_factors(self, builds, monkeypatch):
+    def test_two_marches_on_the_evaluation_factors(self, builds, step_solves):
         e, rng = self._evaluation(32)
         e.steps  # built before counting, as after the evaluation's first action
         builds.clear()
-        levels = []
-        original = StepSolver.solve
-
-        def counted(self, level, rhs):
-            levels.append(level)
-            return original(self, level, rhs)
-
-        monkeypatch.setattr(StepSolver, "solve", counted)
-        hessian_action(e, random_direction(e.spec, rng))
+        # a single direction and a block of six each take one march pair
+        for k in (1, 6):
+            step_solves.clear()
+            hessian_action(e, np.stack([random_direction(e.spec, rng).values for _ in range(k)]))
+            assert len(step_solves) == 2 * e.spec.grid.nt
         assert len(builds) == 0
-        assert len(levels) == 2 * e.spec.grid.nt
+
+    @pytest.mark.parametrize("kind", ["varying", "blocks"])
+    def test_block_action_equals_the_single_actions(self, kind):
+        rng = np.random.default_rng(33)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
+        e = kkt_residual(spec, step_control(kind, spec, rng))
+        directions = np.stack([random_direction(spec, rng).values for _ in range(7)])
+        block = hessian_action(e, directions)
+        assert block.shape == directions.shape and block.flags.c_contiguous
+        for w, hw in zip(directions, block):
+            assert np.array_equal(hw, hessian_action(e, w[None])[0])
+            # the pairing sums a contiguous (nt, n_omega) array either way
+            assert (spec.control_dot(hw, w)
+                    == hessian_bilinear(e, ControlField(w, spec.grid), ControlField(w, spec.grid)))
 
 
 class TestStepReuse:
@@ -294,19 +300,33 @@ class TestStepReuse:
         check_coercivity(e, tau=1e6, n_samples=8, seed=2)
         assert len(builds) == 1
 
+    def test_coercivity_is_one_block_march_pair(self, builds, step_solves):
+        rng = np.random.default_rng(30)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
+        e = kkt_residual(spec, random_control(spec, rng, scale=0.7))
+        e.steps  # built before counting, as after the evaluation's first action
+        builds.clear()
+        step_solves.clear()
+        rep = check_coercivity(e, tau=1e6, n_samples=8, seed=1)
+        assert rep.n_used == 8
+        assert len(builds) == 0
+        assert len(step_solves) == 2 * spec.grid.nt
+
     @pytest.mark.parametrize("kind", ["varying", "blocks"])
-    def test_shared_factors_give_the_fresh_values(self, kind, monkeypatch):
+    def test_shared_factors_give_the_fresh_values(self, kind, builds, monkeypatch):
         rng = np.random.default_rng(28)
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         u = step_control(kind, spec, rng)
         w, d = random_direction(spec, rng), random_direction(spec, rng)
-        shared = [hessian_bilinear(kkt_residual(spec, u), *pair)
-                  for pair in ((w, d), (d, w), (w, w))]
-        # the reference builds fresh factors for every linearized solve
-        monkeypatch.setattr(control, "solve_linearized",
-                            lambda spec, v, w, rho, steps=None: solve_linearized(spec, v, w, rho))
-        fresh = [hessian_bilinear(kkt_residual(spec, u), *pair)
-                 for pair in ((w, d), (d, w), (w, w))]
+        pairs = ((w, d), (d, w), (w, w))
+        shared = [hessian_bilinear(kkt_residual(spec, u), *pair) for pair in pairs]
+        # the reference builds fresh factors every time an action reads e.steps
+        monkeypatch.setattr(control.Evaluation, "steps",
+                            property(lambda e: StepSolver(e.spec, e.u)))
+        builds.clear()
+        fresh = [hessian_bilinear(kkt_residual(spec, u), *pair) for pair in pairs]
+        # per pair: the evaluation's state and adjoint, then one per march
+        assert len(builds) == 4 * len(pairs)
         assert shared == fresh
 
     @pytest.mark.parametrize("kind", ["varying", "blocks"])

@@ -136,8 +136,8 @@ class TestTrialFactors:
         spec, start = backtracking_instance()
         res = projected_gradient(spec, start, OptimOptions(max_iters=10, kkt_tol=1e-12))
         assert len(trials) > res.iterations == 10  # some trials were rejected
-        # the start's state and adjoint, then one build per trial
-        assert len(at_build) == 2 + len(trials)
+        # one build for the start's state and adjoint, then one per trial
+        assert len(at_build) == 1 + len(trials)
 
     def test_no_solver_is_built_while_another_lives(self, solvers):
         at_build, trials = solvers

@@ -380,10 +380,29 @@ class TestMarch:
             assert np.array_equal(lam.values[k], x)
         assert np.array_equal(lam.values[0], lam.values[1])
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("sourced", [False, True], ids=["plain", "sourced"])
+    @pytest.mark.parametrize("kind", ["varying", "blocks"])
+    def test_block_march_equals_single_marches(self, kind, sourced, backward, step_solves):
+        # a block of k columns is one solve per level with k right-hand
+        # sides, and each column is bitwise the march of that column alone
+        rng = np.random.default_rng(66)
+        spec = make_spec(n=24, nt=12)
+        steps = StepSolver(spec, step_control(kind, spec, rng))
+        k = 5
+        init = rng.standard_normal((24, k))
+        source = rng.standard_normal((12, 24, k)) if sourced else None
+        block = steps.march(init, source, backward=backward)
+        assert len(step_solves) == spec.grid.nt
+        assert block.values.shape == (spec.grid.nt + 1, 24, k)
+        for j in range(k):
+            single = steps.march(init[:, j], None if source is None else source[..., j],
+                                 backward=backward)
+            assert np.array_equal(block.values[..., j], single.values)
+
     @pytest.mark.parametrize("name", ["state", "sourced", "shifted", "adjoint", "linearized"])
-    def test_one_step_solve_per_level(self, name, monkeypatch):
-        # the benchmark counts step solves by wrapping StepSolver.solve on the
-        # class; a march that bypassed it would read 0
+    def test_one_step_solve_per_level(self, name, step_solves):
+        # a march that bypassed StepSolver.solve would read 0 in the benchmark
         rng = np.random.default_rng(65)
         spec = make_spec(n=24, nt=9, rho0=rng.standard_normal(24))
         v = random_control(spec, rng)
@@ -396,16 +415,9 @@ class TestMarch:
             "adjoint": lambda: solve_adjoint(spec, v, rng.standard_normal(24)),
             "linearized": lambda: solve_linearized(spec, v, random_direction(spec, rng), rho),
         }[name]
-        levels = []
-        original = StepSolver.solve
-
-        def counted(self, level, rhs):
-            levels.append(level)
-            return original(self, level, rhs)
-
-        monkeypatch.setattr(StepSolver, "solve", counted)
+        step_solves.clear()  # drop the reference state's solves
         run()
-        assert sorted(levels) == list(range(1, spec.grid.nt + 1))
+        assert sorted(step_solves) == list(range(1, spec.grid.nt + 1))
 
 
 class TestSharedSteps:
