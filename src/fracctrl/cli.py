@@ -221,14 +221,25 @@ def build_spec(pcfg: ProblemConfig) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
+def _load_config(args) -> RunConfig:
+    """The config file's settings, or the defaults, with --seed as the seed
+    of the block the command reads it from: verify's for verify, the
+    optimizer's for gradcheck."""
+    if args.config is None:
+        cfg = RunConfig()
+    else:
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config '{args.config}': {exc}") from exc
+        cfg = parse_config(text)
+    if getattr(args, "seed", None) is None:
+        return cfg
+    section = "verify" if args.command == "verify" else "optimizer"
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    return parse_config(text)
+        return replace(cfg, **{section: replace(getattr(cfg, section), seed=args.seed)})
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from exc
 
 
 def _parse_control_source(text: str, spec: ProblemSpec) -> ControlField:
@@ -285,14 +296,11 @@ def _solve_summary(spec: ProblemSpec, v: ControlField, rho) -> list:
     ]
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     """solve writes rho.csv, and q.csv with --adjoint; adjoint writes q.csv
     and adds adjoint_sup to the summary."""
-    cfg = _load_config(args.config)
-    spec = build_spec(cfg.problem)
     v = _parse_control_source(args.control, spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # with the adjoint, the state and adjoint march on one set of factors
     steps = StepSolver(spec, v)
     rho = solve_state(spec, v, steps=steps)
@@ -309,56 +317,41 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load_config(args.config)
-    spec = build_spec(cfg.problem)
+def cmd_optimize(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     start = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
     driver = projected_gradient if cfg.optimizer.method == "pg" else fixed_point
     result = driver(spec, start, cfg.optimizer)
+    final = result.final
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    export_control_csv(result.u, out / "u.csv")
-    export_trajectory_csv(result.rho, out / "rho.csv")
-    export_trajectory_csv(result.q, out / "q.csv")
+    export_control_csv(final.u, out / "u.csv")
+    export_trajectory_csv(final.rho, out / "rho.csv")
+    export_trajectory_csv(final.q, out / "q.csv")
     c_user = cfg.optimizer.c_user
     uniq = uniqueness_condition(spec)
     ssc = ssc_smallness(spec, c_user)
     _write_kv(out / "summary.txt", [
         ("status", result.status), ("iterations", result.iterations),
         ("cost", result.j_final), ("kkt_residual", result.kkt_final),
-        ("control_l2", spec.control_norm(result.u.values)), ("control_sup", result.u.sup),
+        ("control_l2", spec.control_norm(final.u.values)), ("control_sup", final.u.sup),
         ("uniqueness_lhs", uniq.lhs), ("uniqueness_margin", uniq.margin),
         ("uniqueness_holds", uniq.holds), ("ssc_constant", c_user),
         ("ssc_lhs", ssc.lhs), ("ssc_holds", ssc.holds)])
     return 0 if result.status == "converged" else 4
 
 
-def _seeded(block, seed: int | None):
-    """block with --seed, when given, as its seed; the block's own checks judge it."""
-    try:
-        return block if seed is None else replace(block, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"--seed: {exc}") from exc
-
-
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    suite_cfg = replace(_seeded(cfg.verify, args.seed), spec=build_spec(cfg.problem),
-                        c_user=cfg.optimizer.c_user,
+def cmd_verify(args, cfg: RunConfig, spec: ProblemSpec) -> int:
+    suite_cfg = replace(cfg.verify, spec=spec, c_user=cfg.optimizer.c_user,
                         suites=(args.suite,) if args.suite else cfg.verify.suites)
     report = run_all(suite_cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(report.to_text())
     report.to_csv(out / "report.csv")
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 4
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args.config)
-    spec = build_spec(cfg.problem)
-    rng = np.random.default_rng(_seeded(cfg.optimizer, args.seed).seed)
+def cmd_gradcheck(args, cfg: RunConfig, spec: ProblemSpec) -> int:
+    rng = np.random.default_rng(cfg.optimizer.seed)
     v = random_admissible(spec, rng, 0.7)
     w = rng.standard_normal(v.values.shape)
     g, _, _ = gradient(spec, v)
@@ -412,10 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load the config and build the problem, create --out, then run the
+    command; a bad config or output directory stops the run before its job."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        spec = build_spec(cfg.problem)
+        if "out" in args:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory '{args.out}': {exc}") from exc
+        return args.func(args, cfg, spec)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

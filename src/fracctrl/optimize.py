@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import Evaluation, cost_from_state, kkt_residual, project
-from .pdesolve import ControlField, StepSolver, TimeField, random_admissible, solve_state
+from .pdesolve import ControlField, StepSolver, random_admissible, solve_state
 from .problem import ProblemSpec
 
 # Armijo trials per iteration before the iterate counts as stalled.
@@ -60,18 +60,6 @@ class OptimResult:
     j_history: list[float]
     kkt_history: list[float]
     status: str  # converged | max_iters | stalled | failed
-
-    @property
-    def u(self) -> ControlField:
-        return self.final.u
-
-    @property
-    def rho(self) -> TimeField:
-        return self.final.rho
-
-    @property
-    def q(self) -> TimeField:
-        return self.final.q
 
     @property
     def j_final(self) -> float:
@@ -189,7 +177,7 @@ def multistart_uniqueness(spec: ProblemSpec, k_starts: int, opts: OptimOptions) 
     max_pair = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            dist = spec.control_norm(results[i].u.values - results[j].u.values)
+            dist = spec.control_norm(results[i].final.u.values - results[j].final.u.values)
             max_pair = np.maximum(max_pair, dist)
     measure_qt = spec.grid.omega_measure * spec.grid.T
     return MultistartReport(

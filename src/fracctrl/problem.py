@@ -12,7 +12,7 @@ exterior condition and rho(0) = rho0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,12 @@ class ProblemSpec:
     regularization weight; vmin/vmax are the finite box bounds on the
     control (vmax > vmin); rho0 and rho_target are values at the interior
     nodes.  rho0_sup/target_sup may declare the analytic sup-norms of the
-    underlying profiles; they default to the sampled max.
+    underlying profiles, never below the sampled max; they default to it.
+
+    The operator is derived state, assembled on first use and never copied
+    by dataclasses.replace, so a replaced order or grid gets its own.  A sup
+    that replace copies along with new data is checked like a declared one;
+    with_data is the way to vary the data of an instance.
     """
 
     grid: Grid
@@ -39,7 +44,7 @@ class ProblemSpec:
     rho_target: np.ndarray
     rho0_sup: float | None = None
     target_sup: float | None = None
-    _op: FractionalOperator | None = field(default=None, repr=False, compare=False)
+    _op: FractionalOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -52,15 +57,19 @@ class ProblemSpec:
                              f"got [{self.vmin}, {self.vmax}]")
         self.rho0 = np.asarray(self.rho0, dtype=float)
         self.rho_target = np.asarray(self.rho_target, dtype=float)
-        for name, arr in (("rho0", self.rho0), ("rho_target", self.rho_target)):
+        for name, arr, sup_name in (("rho0", self.rho0, "rho0_sup"),
+                                    ("rho_target", self.rho_target, "target_sup")):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have length n={self.grid.n}, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if self.rho0_sup is None:
-            self.rho0_sup = float(np.max(np.abs(self.rho0)))
-        if self.target_sup is None:
-            self.target_sup = float(np.max(np.abs(self.rho_target)))
+            sampled = float(np.max(np.abs(arr)))
+            declared = getattr(self, sup_name)
+            if declared is None:
+                setattr(self, sup_name, sampled)
+            elif not declared >= sampled:
+                raise ValueError(f"{sup_name}={declared} is below the sampled max "
+                                 f"{sampled} of {name}")
 
     @property
     def theta(self) -> float:
@@ -72,6 +81,14 @@ class ProblemSpec:
         if self._op is None:
             self._op = assemble_operator(self.grid, self.s)
         return self._op
+
+    def with_data(self, rho0, rho_target) -> ProblemSpec:
+        """This instance with new initial and target data: the same grid,
+        order, weight and box, the same operator object, and both sups
+        recomputed from the new data."""
+        spec = replace(self, rho0=rho0, rho_target=rho_target, rho0_sup=None, target_sup=None)
+        spec._op = self.operator
+        return spec
 
     def control_dot(self, a, b) -> float:
         """Discrete L2(omega x (0,T)) inner product of control-shaped arrays."""

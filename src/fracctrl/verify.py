@@ -232,12 +232,6 @@ def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:
     return report
 
 
-def _estimate_instance() -> ProblemSpec:
-    grid = Grid.from_window(a=-1.0, b=1.0, n=64, window=(-0.5, 0.5), T=0.5, nt=256)
-    return ProblemSpec(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
-                       rho0=np.zeros(64), rho_target=np.zeros(64))
-
-
 def central_difference(spec: ProblemSpec, v: ControlField, w: np.ndarray, eps: float) -> float:
     """Directional derivative of the cost at v along w by central differences."""
     plus = cost(spec, v.like(v.values + eps * w))
@@ -368,15 +362,14 @@ def run_operator_suite(cfg: SuiteConfig) -> VerifyReport:
 def run_maximum_principle_suite(cfg: SuiteConfig) -> VerifyReport:
     report = VerifyReport()
     rng = np.random.default_rng(cfg.seed)
-    base = _estimate_instance()
+    base = benchmark_problem(64, 256)
+    zeros = np.zeros(base.grid.n)
     worst_min = 0.0
     worst_step = 0.0
     worst_growth = 0.0
     for case in range(cfg.mp_cases):
         rho0 = np.abs(rng.standard_normal(base.grid.n)) * rng.uniform(0.1, 2.0)
-        spec = ProblemSpec(grid=base.grid, s=base.s, alpha=base.alpha,
-                           vmin=base.vmin, vmax=base.vmax,
-                           rho0=rho0, rho_target=base.rho_target)
+        spec = base.with_data(rho0, zeros)
         if case == 0:
             # adversarial control alternating between the box corners per step
             vals = np.empty((spec.grid.nt, spec.grid.n_omega))
@@ -386,8 +379,7 @@ def run_maximum_principle_suite(cfg: SuiteConfig) -> VerifyReport:
         else:
             v = random_admissible(spec, rng)
         rho = solve_state(spec, v)
-        sup0 = float(np.max(np.abs(rho0)))
-        worst_min = np.minimum(worst_min, rho.values.min() / sup0)
+        worst_min = np.minimum(worst_min, rho.values.min() / spec.rho0_sup)
         step, growth = sup_envelope_ratios(rho, v.theta)
         worst_step = np.maximum(worst_step, step)
         worst_growth = np.maximum(worst_growth, growth)
@@ -404,7 +396,7 @@ def run_maximum_principle_suite(cfg: SuiteConfig) -> VerifyReport:
 def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
     report = VerifyReport()
     rng = np.random.default_rng(cfg.seed)
-    base = _estimate_instance()
+    base = benchmark_problem(64, 256)
     grid = base.grid
     slack = 1.1
     worst = dict.fromkeys(
@@ -415,8 +407,7 @@ def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
     for _ in range(cfg.estimate_cases):
         rho0 = rng.standard_normal(grid.n)
         target = 0.5 * rng.standard_normal(grid.n)
-        spec = ProblemSpec(grid=grid, s=base.s, alpha=base.alpha, vmin=base.vmin,
-                           vmax=base.vmax, rho0=rho0, rho_target=target)
+        spec = base.with_data(rho0, target)
         v = random_admissible(spec, rng)
         f = rng.standard_normal((grid.nt, grid.n))
         data = source_vstar_norm(spec, f) ** 2 + l2_norm(grid.dx, rho0) ** 2
@@ -462,23 +453,20 @@ def run_estimate_suite(cfg: SuiteConfig) -> VerifyReport:
     return report
 
 
-def _derivative_instance(rng) -> ProblemSpec:
-    grid = Grid.from_window(a=-1.0, b=1.0, n=20, window=(-0.6, 0.6), T=0.5, nt=32)
-    return ProblemSpec(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
-                       rho0=rng.standard_normal(20), rho_target=rng.standard_normal(20))
-
-
 def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
     report = VerifyReport()
     rng = np.random.default_rng(cfg.seed)
     worst_fd = worst_dual = worst_sym = worst_hfd = worst_slope = 0.0
     vshape_min = math.inf
+    n = 20
+    grid = Grid.from_window(a=-1.0, b=1.0, n=n, window=(-0.6, 0.6), T=0.5, nt=32)
+    base = ProblemSpec(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
+                       rho0=np.zeros(n), rho_target=np.zeros(n))
 
-    # zero initial state: rho vanishes, the gradient is alpha*v exactly
-    spec0 = _derivative_instance(rng)
-    spec0 = ProblemSpec(grid=spec0.grid, s=spec0.s, alpha=spec0.alpha, vmin=spec0.vmin,
-                        vmax=spec0.vmax, rho0=np.zeros(spec0.grid.n),
-                        rho_target=spec0.rho_target)
+    # zero initial state: rho vanishes, the gradient is alpha*v exactly; the
+    # discarded rho0 draw keeps the rng stream of every later case
+    rng.standard_normal(n)
+    spec0 = base.with_data(np.zeros(n), rng.standard_normal(n))
     v0 = random_admissible(spec0, rng)
     w0 = ControlField(rng.standard_normal(v0.values.shape), spec0.grid)
     g0 = kkt_residual(spec0, v0).g
@@ -491,7 +479,7 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
                upper=1e-10)
 
     for case in range(cfg.derivative_cases):
-        spec = _derivative_instance(rng)
+        spec = base.with_data(rng.standard_normal(n), rng.standard_normal(n))
         v = random_admissible(spec, rng, 0.7)
         w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
         d = ControlField(rng.standard_normal(v.values.shape), spec.grid)
@@ -566,12 +554,6 @@ def _lipschitz_ratios(spec: ProblemSpec, pairs) -> tuple[float, float]:
     return state_ratio, adj_ratio
 
 
-def _lipschitz_instance(n, nt, amp) -> ProblemSpec:
-    grid = Grid.from_window(a=-1.0, b=1.0, n=n, window=(-0.5, 0.5), T=0.5, nt=nt)
-    return ProblemSpec(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
-                       rho0=bump_profile(grid, amp), rho_target=bump_profile(grid, amp / 2))
-
-
 def _fit_lipschitz_constant(ratio, spec: ProblemSpec) -> float:
     """Solve ratio = [(2 + C1 theta) e^(theta T) + 1] e^(theta T) sup|rho0| for C1."""
     e1 = math.exp(spec.theta * spec.grid.T)
@@ -597,7 +579,7 @@ def run_lipschitz_suite(cfg: SuiteConfig) -> VerifyReport:
     report = VerifyReport()
     rng = np.random.default_rng(cfg.seed)
     n_pairs = cfg.lipschitz_pairs
-    base = _lipschitz_instance(64, 256, 0.1)
+    base = benchmark_problem(64, 256)
 
     blocks = [(rng.uniform(base.vmin, base.vmax, (16, 8)),
                rng.uniform(base.vmin, base.vmax, (16, 8))) for _ in range(n_pairs)]
@@ -609,7 +591,7 @@ def run_lipschitz_suite(cfg: SuiteConfig) -> VerifyReport:
     base_pairs = realize_pairs(base, n_pairs)
     s_base, a_base = _lipschitz_ratios(base, base_pairs)
 
-    fine = _lipschitz_instance(129, 512, 0.1)
+    fine = benchmark_problem(129, 512)
     s_fine, a_fine = _lipschitz_ratios(fine, realize_pairs(fine, max(n_pairs // 4, 4)))
 
     # value is the mesh-stability quotient; the raw ratios are reported in the
@@ -622,7 +604,7 @@ def run_lipschitz_suite(cfg: SuiteConfig) -> VerifyReport:
 
     # the state map is linear in the initial datum at fixed controls, so the
     # ratio must scale exactly with the data amplitude (both data scaled)
-    small = _lipschitz_instance(64, 256, 0.01)
+    small = base.with_data(bump_profile(base.grid, 0.01), bump_profile(base.grid, 0.005))
     s_small, a_small = _lipschitz_ratios(small, base_pairs)
     # np.max, not max: a NaN deviation must reach the value and fail
     report.add("lipschitz-data-scaling", np.max(np.abs([s_small / s_base - 0.1,
@@ -710,7 +692,7 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     fp_start = constant_control(spec.grid, spec.vmin + 0.75 * (spec.vmax - spec.vmin),
                                 spec.vmin, spec.vmax)
     fp = fixed_point(spec, fp_start, OptimOptions(kkt_tol=opts.kkt_tol, fp_damping=1.0))
-    agree = spec.control_norm(fp.u.values - optimum.u.values)
+    agree = spec.control_norm(fp.final.u.values - optimum.u.values)
     report.add("projection-consistency", agree, upper=1e-6,
                detail="L2 distance between projected-gradient and fixed-point controls")
     report.add("fixed-point-converged", fp.kkt_final, upper=opts.kkt_tol,

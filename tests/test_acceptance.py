@@ -202,12 +202,12 @@ def test_criterion_08_kkt_projection():
     opts = OptimOptions(kkt_tol=1e-8)
     pg = projected_gradient(spec, constant_control(spec.grid, 0.3, spec.vmin, spec.vmax),
                             opts)
-    kkt = kkt_residual(spec, pg.u, rho=pg.rho)
+    kkt = kkt_residual(spec, pg.final.u, rho=pg.final.rho)
     rng = np.random.default_rng(108)
-    vi = sampled_vi_min(spec, pg.u, kkt.g, 100, rng)
+    vi = sampled_vi_min(spec, pg.final.u, kkt.g, 100, rng)
     fp = fixed_point(spec, constant_control(spec.grid, -0.2, spec.vmin, spec.vmax),
                      OptimOptions(kkt_tol=1e-8, fp_damping=1.0))
-    agree = spec.control_norm(pg.u.values - fp.u.values)
+    agree = spec.control_norm(pg.final.u.values - fp.final.u.values)
     ok = (pg.status == "converged" and kkt.residual <= 1e-8
           and vi >= -1e-8 and fp.status == "converged" and agree <= 1e-6)
     report(8, "first-order conditions on the reference instance", ok,
@@ -217,9 +217,7 @@ def test_criterion_08_kkt_projection():
 
 def test_criterion_09_convex_degenerate_case():
     base = benchmark_problem()
-    spec = ProblemSpec(grid=base.grid, s=base.s, alpha=base.alpha, vmin=base.vmin,
-                       vmax=base.vmax, rho0=np.zeros(base.grid.n),
-                       rho_target=base.rho_target)
+    spec = base.with_data(np.zeros(base.grid.n), base.rho_target)
     j_star = 0.5 * spec.grid.dx * float(np.dot(spec.rho_target, spec.rho_target))
     rng = np.random.default_rng(109)
     worst_norm = 0.0
@@ -229,7 +227,7 @@ def test_criterion_09_convex_degenerate_case():
                              spec.grid, spec.vmin, spec.vmax)
         res = projected_gradient(spec, start, OptimOptions(kkt_tol=1e-10))
         assert res.status == "converged"
-        worst_norm = max(worst_norm, spec.control_norm(res.u.values))
+        worst_norm = max(worst_norm, spec.control_norm(res.final.u.values))
         worst_jerr = max(worst_jerr, abs(res.j_final - j_star))
     report(9, "convex degenerate case", worst_norm <= 1e-8 and worst_jerr <= 1e-12,
            f"5 starts: |u| {worst_norm:.2e} <= 1e-8, |J - J*| {worst_jerr:.2e} <= 1e-12")
@@ -242,7 +240,7 @@ def test_criterion_10_second_order_conditions():
     res = projected_gradient(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax),
                              OptimOptions(kkt_tol=1e-8))
     assert res.status == "converged"
-    optimum = kkt_residual(spec, res.u)
+    optimum = kkt_residual(spec, res.final.u)
     sufficient = check_coercivity(optimum, tau=1e-3 * spec.alpha, n_samples=64,
                                   seed=110)
     necessary = check_coercivity(optimum, tau=0.0, n_samples=64, seed=111)

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracctrl import cli
 from fracctrl.cli import (
     ConfigError,
     OptimizerConfig,
+    ProblemConfig,
     RunConfig,
     build_spec,
     main,
@@ -18,6 +20,7 @@ from fracctrl.cli import (
 from fracctrl.control import ssc_smallness
 from fracctrl.fracop import assemble_operator
 from fracctrl.pdesolve import constant_control, export_control_csv
+from fracctrl.problem import benchmark_problem
 from fracctrl.verify import SuiteConfig
 
 from test_pdesolve import make_spec
@@ -102,6 +105,18 @@ class TestConfigParsing:
         assert np.array_equal(spec_a.rho0, spec_b.rho0)
         assert np.array_equal(spec_a.rho_target, spec_b.rho_target)
         assert spec_a.rho0_sup == spec_b.rho0_sup
+
+    def test_default_problem_is_the_reference_instance(self):
+        # the reference instance has two owners, the CLI defaults and
+        # benchmark_problem; drift in either fails here
+        cli_spec = build_spec(ProblemConfig())
+        ref = benchmark_problem()
+        assert cli_spec.grid == ref.grid
+        assert (cli_spec.s, cli_spec.alpha, cli_spec.vmin, cli_spec.vmax) == \
+               (ref.s, ref.alpha, ref.vmin, ref.vmax)
+        assert np.array_equal(cli_spec.rho0, ref.rho0)
+        assert np.array_equal(cli_spec.rho_target, ref.rho_target)
+        assert (cli_spec.rho0_sup, cli_spec.target_sup) == (ref.rho0_sup, ref.target_sup)
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="alpha_"):
@@ -417,6 +432,21 @@ class TestBadInput:
             main(["gradcheck", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "adjoint", "optimize", "verify"])
+    def test_out_naming_a_file(self, tmp_path, capsys, monkeypatch, command):
+        # the output directory is made before the job runs, so a bad one
+        # costs no solve and no harness run
+        harness_runs = []
+        monkeypatch.setattr(cli, "run_all", lambda cfg: harness_runs.append(cfg))
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([command, "--config", str(config), "--out", str(taken)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert harness_runs == []
+        assert taken.read_text() == ""
 
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

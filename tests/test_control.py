@@ -1,6 +1,7 @@
 """Cost, adjoint gradient, Hessian, projection/KKT machinery, conditions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fracctrl.control import (
 )
 from fracctrl.fracop import Grid, InvalidOrderError
 from fracctrl.pdesolve import ControlField, StepSolver, constant_control, solve_linearized
-from fracctrl.problem import ProblemSpec, benchmark_problem
+from fracctrl.problem import ProblemSpec, benchmark_problem, bump_profile
 
 from test_pdesolve import (
     make_spec,
@@ -67,6 +68,40 @@ class TestProblemSpec:
         assert spec.theta == 1.0
         assert spec.rho0_sup == 0.25
         assert spec.target_sup == 0.5
+
+    def test_declared_sup_below_the_sampled_max_rejected(self):
+        grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
+        data = dict(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
+                    rho0=np.full(8, -0.25), rho_target=np.full(8, 0.5))
+        assert ProblemSpec(**data, rho0_sup=0.25, target_sup=0.75).target_sup == 0.75
+        for sups in (dict(rho0_sup=0.2), dict(target_sup=0.4), dict(rho0_sup=np.nan)):
+            with pytest.raises(ValueError, match="below the sampled max"):
+                ProblemSpec(**data, **sups)
+
+    def test_replace_assembles_the_operator_of_its_order(self):
+        spec = benchmark_problem(n=15, nt=10)
+        assert spec.operator.s == 0.5
+        assert replace(spec, s=0.3).operator.s == 0.3
+        assert spec.operator.s == 0.5
+
+    def test_replace_with_stale_sups_rejected(self):
+        # replace copies rho0_sup along with the new data; a sup below the
+        # data it describes would make the smallness conditions pass silently
+        spec = benchmark_problem(n=15, nt=10)
+        with pytest.raises(ValueError, match="rho0_sup"):
+            replace(spec, rho0=5 * spec.rho0)
+
+    def test_with_data_shares_the_operator_and_recomputes_the_sups(self):
+        spec = benchmark_problem(n=15, nt=10)
+        varied = spec.with_data(bump_profile(spec.grid, 5.0), np.zeros(spec.grid.n))
+        assert varied.grid is spec.grid
+        assert varied.operator is spec.operator
+        assert (varied.s, varied.alpha, varied.vmin, varied.vmax) == \
+               (spec.s, spec.alpha, spec.vmin, spec.vmax)
+        assert varied.rho0_sup == 5.0
+        assert varied.target_sup == 0.0
+        assert uniqueness_condition(spec).holds
+        assert not uniqueness_condition(varied).holds
 
     def test_benchmark_instance(self):
         spec = benchmark_problem()
@@ -456,13 +491,13 @@ def test_active_set_confined_to_clipped_region():
     res = projected_gradient(spec, constant_control(grid, 0.0, spec.vmin, spec.vmax),
                              OptimOptions(kkt_tol=1e-9, max_iters=500))
     assert res.status == "converged"
-    u = res.u
+    u = res.final.u
     box_tol = 1e-9 * (spec.vmax - spec.vmin)
     clipped = ((u.values - spec.vmin <= box_tol)
                | (spec.vmax - u.values <= box_tol))
     assert clipped.any() and not clipped.all()
-    rep = kkt_residual(spec, u, rho=res.rho)
-    tau = 1e-6 * (spec.alpha * spec.theta + res.rho.linf() * res.q.linf())
+    rep = kkt_residual(spec, u, rho=res.final.rho)
+    tau = 1e-6 * (spec.alpha * spec.theta + res.final.rho.linf() * res.final.q.linf())
     mask = active_set(rep.g, tau)
     assert mask.any() and not mask.all()
     assert np.all(~mask | clipped)

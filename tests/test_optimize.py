@@ -81,7 +81,7 @@ class TestProjectedGradient:
             res = projected_gradient(spec, start, opts)
             assert res.status == "converged"
             assert res.iterations <= 50
-            assert spec.control_norm(res.u.values) <= 1e-8
+            assert spec.control_norm(res.final.u.values) <= 1e-8
             j_star = 0.5 * spec.grid.dx * np.dot(spec.rho_target, spec.rho_target)
             assert res.j_final == pytest.approx(j_star, abs=1e-12)
 
@@ -98,8 +98,8 @@ class TestProjectedGradient:
         res = projected_gradient(spec, constant_control(spec.grid, 0.3, spec.vmin, spec.vmax),
                                  OptimOptions(kkt_tol=1e-9))
         assert res.status == "converged"
-        assert kkt_residual(spec, res.u).residual <= 1e-9
-        assert np.all((res.u.values >= spec.vmin) & (res.u.values <= spec.vmax))
+        assert kkt_residual(spec, res.final.u).residual <= 1e-9
+        assert np.all((res.final.u.values >= spec.vmin) & (res.final.u.values <= spec.vmax))
         # Armijo guarantees monotone cost
         diffs = np.diff(res.j_history)
         assert np.all(diffs <= 1e-14 * max(abs(j) for j in res.j_history))
@@ -116,7 +116,7 @@ class TestProjectedGradient:
         start = constant_control(spec.grid, -0.4, spec.vmin, spec.vmax)
         a = projected_gradient(spec, start, OptimOptions())
         b = projected_gradient(spec, start, OptimOptions())
-        assert np.array_equal(a.u.values, b.u.values)
+        assert np.array_equal(a.final.u.values, b.final.u.values)
         assert a.j_history == b.j_history
         assert a.kkt_history == b.kkt_history
 
@@ -124,7 +124,7 @@ class TestProjectedGradient:
         spec = small_benchmark()
         start = ControlField(5.0 * np.ones((spec.grid.nt, spec.grid.n_omega)), spec.grid)
         res = projected_gradient(spec, start, OptimOptions())
-        assert np.all((res.u.values >= spec.vmin) & (res.u.values <= spec.vmax))
+        assert np.all((res.final.u.values >= spec.vmin) & (res.final.u.values <= spec.vmax))
         assert res.status == "converged"
 
 
@@ -163,7 +163,7 @@ class TestFixedPoint:
         res = fixed_point(spec, start, OptimOptions(fp_damping=1.0))
         assert res.status == "converged"
         assert res.iterations == 1
-        assert np.array_equal(res.u.values, np.zeros_like(res.u.values))
+        assert np.array_equal(res.final.u.values, np.zeros_like(res.final.u.values))
 
     def test_zero_residual_at_fixed_point(self):
         spec = small_benchmark()
@@ -181,7 +181,7 @@ class TestFixedPoint:
         fp = fixed_point(spec, constant_control(spec.grid, -0.5, spec.vmin, spec.vmax),
                          OptimOptions(kkt_tol=1e-10, fp_damping=1.0))
         assert pg.status == fp.status == "converged"
-        dist = spec.control_norm(pg.u.values - fp.u.values)
+        dist = spec.control_norm(pg.final.u.values - fp.final.u.values)
         assert dist <= 1e-6
 
 
@@ -213,7 +213,7 @@ class TestMultistart:
         b = multistart_uniqueness(spec, 3, OptimOptions(seed=9))
         assert a.max_pairwise == b.max_pairwise
         for ra, rb in zip(a.results, b.results):
-            assert np.array_equal(ra.u.values, rb.u.values)
+            assert np.array_equal(ra.final.u.values, rb.final.u.values)
 
 
 def test_variational_inequality_at_tight_residual():
@@ -225,9 +225,9 @@ def test_variational_inequality_at_tight_residual():
     res = fixed_point(spec, constant_control(spec.grid, 0.1, spec.vmin, spec.vmax),
                       OptimOptions(kkt_tol=1e-10, fp_damping=1.0))
     assert res.status == "converged"
-    report = kkt_residual(spec, res.u, rho=res.rho)
+    report = kkt_residual(spec, res.final.u, rho=res.final.rho)
     assert report.residual <= 1e-10
-    slack = sampled_vi_min(spec, res.u, report.g, 100, np.random.default_rng(60))
+    slack = sampled_vi_min(spec, res.final.u, report.g, 100, np.random.default_rng(60))
     assert slack >= -1e-10
 
 
@@ -237,8 +237,8 @@ def test_mesh_stability_of_converged_control():
     coarse = small_benchmark(n=63, nt=100)
     fine = small_benchmark(n=127, nt=200)
     opts = OptimOptions(kkt_tol=1e-9)
-    u_c = projected_gradient(coarse, constant_control(coarse.grid, 0.0, -1, 1), opts).u
-    u_f = projected_gradient(fine, constant_control(fine.grid, 0.0, -1, 1), opts).u
+    u_c = projected_gradient(coarse, constant_control(coarse.grid, 0.0, -1, 1), opts).final.u
+    u_f = projected_gradient(fine, constant_control(fine.grid, 0.0, -1, 1), opts).final.u
 
     xc = coarse.grid.nodes[coarse.grid.omega_mask]
     xf = fine.grid.nodes[fine.grid.omega_mask]

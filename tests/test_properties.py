@@ -8,7 +8,6 @@ valid config gives it back.
 """
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +69,8 @@ def build(keys, seed, bang_bang):
     spec = build_spec(parse_config(text).problem)
     rng = np.random.default_rng(seed)
     n = spec.grid.n
-    spec = replace(spec, rho0=np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.7)
-                   * rng.uniform(0.1, 2.0), rho_target=rng.standard_normal(n),
-                   rho0_sup=None, target_sup=None)
+    spec = spec.with_data(np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.7)
+                          * rng.uniform(0.1, 2.0), rng.standard_normal(n))
     shape = (spec.grid.nt, spec.grid.n_omega)
     vals = (np.where(rng.random(shape) < 0.5, spec.vmin, spec.vmax) if bang_bang
             else rng.uniform(spec.vmin, spec.vmax, size=shape))
@@ -131,9 +129,9 @@ def test_optimizer_result_is_its_final_evaluation(instance, driver, max_iters):
     # reproduces every one of them exactly
     _, spec, v, _ = build(*instance)
     result = driver(spec, v, OptimOptions(max_iters=max_iters))
-    fresh = kkt_residual(spec, result.u)
-    assert np.array_equal(fresh.rho.values, result.rho.values)
-    assert np.array_equal(fresh.q.values, result.q.values)
+    fresh = kkt_residual(spec, result.final.u)
+    assert np.array_equal(fresh.rho.values, result.final.rho.values)
+    assert np.array_equal(fresh.q.values, result.final.q.values)
     assert fresh.j == result.j_final == result.j_history[-1]
     assert fresh.residual == result.kkt_final == result.kkt_history[-1]
     assert result.iterations <= max_iters

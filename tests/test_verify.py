@@ -13,7 +13,7 @@ from fracctrl.fracop import Grid
 from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
 from fracctrl.pdesolve import (ControlField, constant_control, solve_sourced, source_vstar_norm,
                                window_source)
-from fracctrl.problem import ProblemSpec, bump_profile
+from fracctrl.problem import ProblemSpec, benchmark_problem, bump_profile
 from fracctrl.verify import (
     CLAIMS,
     CheckResult,
@@ -290,7 +290,7 @@ def test_converged_status_is_the_kkt_bound(case):
     assert result.status == status
     assert (result.status == "converged") == (result.kkt_final <= opts.kkt_tol)
     # and kkt_residual recomputes the same numbers from the returned fields
-    kkt = kkt_residual(spec, result.u, rho=result.rho)
+    kkt = kkt_residual(spec, result.final.u, rho=result.final.rho)
     assert kkt.residual == result.kkt_final
     assert kkt.j == result.j_final
 
@@ -312,7 +312,7 @@ def test_state_adjoint_pairs_come_from_kkt_residual(monkeypatch, tmp_path):
     run_estimate_suite(SuiteConfig(estimate_cases=2))
     assert len(evaluated) == 2
 
-    spec = verify._lipschitz_instance(16, 32, 0.1)
+    spec = benchmark_problem(16, 32)
     rng = np.random.default_rng(5)
     shape = (spec.grid.nt, spec.grid.n_omega)
     pairs = [(rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)) for _ in range(2)]
