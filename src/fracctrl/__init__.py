@@ -51,6 +51,6 @@ from .pdesolve import (
     solve_sourced,
     solve_state,
 )
-from .problem import ProblemSpec, benchmark_problem, bump_profile, eigen_profile
+from .problem import ProblemConfig, ProblemSpec, benchmark_problem, bump_profile, eigen_profile
 
 __version__ = "0.1.0"

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
-import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -20,7 +18,7 @@ import numpy as np
 
 from .control import (check_ssc_constant, cost_from_state, gradient, kkt_residual,
                        ssc_smallness, uniqueness_condition)
-from .fracop import Grid, l2_norm
+from .fracop import l2_norm
 from .optimize import OptimOptions, fixed_point, projected_gradient
 from .pdesolve import (
     ControlField,
@@ -33,7 +31,7 @@ from .pdesolve import (
     random_admissible,
     solve_state,
 )
-from .problem import ProblemSpec, bump_profile, eigen_profile
+from .problem import ProblemConfig, ProblemSpec, source_number, split_source
 from .verify import (
     SUITES,
     SuiteConfig,
@@ -46,23 +44,6 @@ from .verify import (
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ProblemConfig:
-    a: float = -1.0
-    b: float = 1.0
-    n: int = 127
-    s: float = 0.5
-    T: float = 0.5
-    nt: int = 200
-    omega_a: float = -0.5
-    omega_b: float = 0.5
-    alpha: float = 1.0
-    m: float = -1.0
-    M: float = 1.0
-    rho0: str = "bump(0.1)"
-    rhod: str = "bump(0.05)"
 
 
 @dataclass
@@ -160,63 +141,10 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PROFILE_RE = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
-
-
-def _split_source(text: str, what: str, kinds: tuple) -> tuple[str, str | None]:
-    """'kind(arg)' -> (kind, arg); every kind but zero needs its argument."""
-    m = _PROFILE_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"malformed {what} '{text}'")
-    kind, arg = m.group(1), m.group(2)
-    if kind not in kinds:
-        raise ConfigError(f"unknown {what} '{kind}' in '{text}' (use {', '.join(kinds)})")
-    if arg is None and kind != "zero":
-        raise ConfigError(f"{what} '{text}' lacks its argument: {kind}(...)")
-    return kind, arg
-
-
-def _number(text: str, arg: str, cast=float):
-    """Finite numeric argument of a profile or control source."""
-    try:
-        value = cast(arg)
-    except ValueError:
-        raise ConfigError(f"bad argument '{arg}' in '{text}'") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"argument '{arg}' in '{text}' is not finite")
-    return value
-
-
-def _resolve_profile(text: str, grid: Grid, s: float):
-    """Profile -> (samples, declared sup or None).  Supported: zero,
-    bump(amplitude), eigen(k), csv(path)."""
-    kind, arg = _split_source(text, "profile", ("zero", "bump", "eigen", "csv"))
-    if kind == "zero":
-        return np.zeros(grid.n), 0.0
-    if kind == "bump":
-        amp = _number(text, arg)
-        return bump_profile(grid, amp), abs(amp)
-    if kind == "eigen":
-        return eigen_profile(grid, s, _number(text, arg, int)), None
-    try:
-        values = np.loadtxt(arg, ndmin=1)
-    except OSError as exc:
-        raise ConfigError(f"cannot read profile file '{arg}': {exc}") from exc
-    if values.shape != (grid.n,):
-        raise ConfigError(f"profile file '{arg}' has {values.size} values, expected {grid.n}")
-    return values, None
-
-
 def build_spec(pcfg: ProblemConfig) -> ProblemSpec:
+    """The problem block's instance; a value the build refuses is a config error."""
     try:
-        grid = Grid.from_window(a=pcfg.a, b=pcfg.b, n=pcfg.n,
-                                window=(pcfg.omega_a, pcfg.omega_b), T=pcfg.T, nt=pcfg.nt)
-        rho0, sup0 = _resolve_profile(pcfg.rho0, grid, pcfg.s)
-        rhod, supd = _resolve_profile(pcfg.rhod, grid, pcfg.s)
-        return ProblemSpec(grid=grid, s=pcfg.s, alpha=pcfg.alpha, vmin=pcfg.m, vmax=pcfg.M,
-                           rho0=rho0, rho_target=rhod, rho0_sup=sup0, target_sup=supd)
-    except ConfigError:
-        raise
+        return pcfg.build()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -243,10 +171,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _parse_control_source(text: str, spec: ProblemSpec) -> ControlField:
-    kind, arg = _split_source(text, "control source", ("zero", "constant", "csv"))
+    try:
+        kind, arg = split_source(text, "control source", ("zero", "constant", "csv"))
+        value = source_number(text, arg) if kind == "constant" else 0.0
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if kind == "csv":
         return _read_control_csv(arg, spec)
-    value = 0.0 if kind == "zero" else _number(text, arg)
     return constant_control(spec.grid, value, spec.vmin, spec.vmax)
 
 

@@ -7,11 +7,14 @@ cost is
     J(v) = 1/2 ||rho(T) - rho_target||_L2^2 + alpha/2 ||v||_L2(omega x (0,T))^2
 
 subject to rho_t + (-Delta)^s rho = v rho on the control window, with zero
-exterior condition and rho(0) = rho0.
+exterior condition and rho(0) = rho0.  A ProblemConfig states an instance
+as config text does; its defaults are the reference instance.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,13 +29,13 @@ class ProblemSpec:
     s is the fractional order in (0, 1) and alpha > 0 the finite
     regularization weight; vmin/vmax are the finite box bounds on the
     control (vmax > vmin); rho0 and rho_target are values at the interior
-    nodes.  rho0_sup/target_sup may declare the analytic sup-norms of the
-    underlying profiles, never below the sampled max; they default to it.
+    nodes.
 
-    The operator is derived state, assembled on first use and never copied
-    by dataclasses.replace, so a replaced order or grid gets its own.  A sup
-    that replace copies along with new data is checked like a declared one;
-    with_data is the way to vary the data of an instance.
+    Derived state that no argument sets: rho0_sup and target_sup, the
+    sampled sups the smallness conditions read, are computed on
+    construction, so dataclasses.replace recomputes them; the operator is
+    assembled on first use and never copied, so a replaced order or grid
+    gets its own.  with_data varies the data and shares the operator.
     """
 
     grid: Grid
@@ -42,8 +45,8 @@ class ProblemSpec:
     vmax: float
     rho0: np.ndarray
     rho_target: np.ndarray
-    rho0_sup: float | None = None
-    target_sup: float | None = None
+    rho0_sup: float = field(init=False)
+    target_sup: float = field(init=False)
     _op: FractionalOperator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,19 +60,13 @@ class ProblemSpec:
                              f"got [{self.vmin}, {self.vmax}]")
         self.rho0 = np.asarray(self.rho0, dtype=float)
         self.rho_target = np.asarray(self.rho_target, dtype=float)
-        for name, arr, sup_name in (("rho0", self.rho0, "rho0_sup"),
-                                    ("rho_target", self.rho_target, "target_sup")):
+        for name, arr in (("rho0", self.rho0), ("rho_target", self.rho_target)):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} must have length n={self.grid.n}, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-            sampled = float(np.max(np.abs(arr)))
-            declared = getattr(self, sup_name)
-            if declared is None:
-                setattr(self, sup_name, sampled)
-            elif not declared >= sampled:
-                raise ValueError(f"{sup_name}={declared} is below the sampled max "
-                                 f"{sampled} of {name}")
+        self.rho0_sup = float(np.max(np.abs(self.rho0)))
+        self.target_sup = float(np.max(np.abs(self.rho_target)))
 
     @property
     def theta(self) -> float:
@@ -84,9 +81,8 @@ class ProblemSpec:
 
     def with_data(self, rho0, rho_target) -> ProblemSpec:
         """This instance with new initial and target data: the same grid,
-        order, weight and box, the same operator object, and both sups
-        recomputed from the new data."""
-        spec = replace(self, rho0=rho0, rho_target=rho_target, rho0_sup=None, target_sup=None)
+        order, weight and box, and the same operator object."""
+        spec = replace(self, rho0=rho0, rho_target=rho_target)
         spec._op = self.operator
         return spec
 
@@ -104,9 +100,8 @@ def bump_profile(grid: Grid, amplitude: float) -> np.ndarray:
     return amplitude * np.maximum(1.0 - xi**2, 0.0)
 
 
-def eigen_profile(grid: Grid, s: float, k: int = 1) -> np.ndarray:
+def eigen_profile(op: FractionalOperator, k: int = 1) -> np.ndarray:
     """k-th eigenvector of the discrete operator, sup-normalized with positive peak."""
-    op = assemble_operator(grid, s)
     if not 1 <= k <= op.n:
         raise ValueError(f"eigenvector index must lie in 1..{op.n}, got {k}")
     _, vecs = np.linalg.eigh(op.matrix)
@@ -115,20 +110,91 @@ def eigen_profile(grid: Grid, s: float, k: int = 1) -> np.ndarray:
     return phi / peak
 
 
-def benchmark_problem(n: int = 127, nt: int = 200) -> ProblemSpec:
-    """Small-data reference instance used across the verification harness.
+_SOURCE_RE = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
 
-    Omega = (-1, 1), s = 0.5, T = 0.5, window (-0.5, 0.5), alpha = 1,
-    box [-1, 1], rho0 = bump(0.1), target = bump(0.05).  The data are small
-    enough that the local-uniqueness condition holds with a wide margin.
-    """
-    grid = Grid.from_window(a=-1.0, b=1.0, n=n, window=(-0.5, 0.5), T=0.5, nt=nt)
-    return ProblemSpec(
-        grid=grid,
-        s=0.5,
-        alpha=1.0,
-        vmin=-1.0,
-        vmax=1.0,
-        rho0=bump_profile(grid, 0.1),
-        rho_target=bump_profile(grid, 0.05),
-    )
+
+def split_source(text: str, what: str, kinds: tuple) -> tuple[str, str | None]:
+    """'kind(arg)' -> (kind, arg), the grammar of profiles and control
+    sources; zero takes no argument and every other kind needs one."""
+    m = _SOURCE_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"malformed {what} '{text}'")
+    kind, arg = m.groups()
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} '{kind}' in '{text}' (use {', '.join(kinds)})")
+    if kind == "zero" and arg is not None:
+        raise ValueError(f"{what} '{text}' takes no argument: zero")
+    if kind != "zero" and arg is None:
+        raise ValueError(f"{what} '{text}' lacks its argument: {kind}(...)")
+    return kind, arg
+
+
+def source_number(text: str, arg: str, cast=float):
+    """Finite numeric argument of a profile or control source."""
+    try:
+        value = cast(arg)
+    except ValueError:
+        raise ValueError(f"bad argument '{arg}' in '{text}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"argument '{arg}' in '{text}' is not finite")
+    return value
+
+
+def _profile(text: str, spec: ProblemSpec) -> np.ndarray:
+    """Samples of a profile at the interior nodes of spec's grid: zero,
+    bump(amplitude), eigen(k) of spec's operator, or csv(path)."""
+    kind, arg = split_source(text, "profile", ("zero", "bump", "eigen", "csv"))
+    n = spec.grid.n
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "bump":
+        return bump_profile(spec.grid, source_number(text, arg))
+    if kind == "eigen":
+        k = source_number(text, arg, int)
+        return eigen_profile(spec.operator, k)
+    try:
+        values = np.loadtxt(arg, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read profile file '{arg}': {exc}") from exc
+    if values.shape != (n,):
+        raise ValueError(f"profile file '{arg}' has {values.size} values, expected {n}")
+    return values
+
+
+@dataclass
+class ProblemConfig:
+    """An instance as the config's problem block states it: domain (a, b)
+    with n interior nodes, order s, horizon T with nt steps, control window
+    (omega_a, omega_b), weight alpha, box [m, M], and the initial and target
+    data as profiles zero | bump(amp) | eigen(k) | csv(path).  The defaults
+    are the reference instance; build() raises ValueError for a value that
+    makes no instance."""
+
+    a: float = -1.0
+    b: float = 1.0
+    n: int = 127
+    s: float = 0.5
+    T: float = 0.5
+    nt: int = 200
+    omega_a: float = -0.5
+    omega_b: float = 0.5
+    alpha: float = 1.0
+    m: float = -1.0
+    M: float = 1.0
+    rho0: str = "bump(0.1)"
+    rhod: str = "bump(0.05)"
+
+    def build(self) -> ProblemSpec:
+        """The instance; an eigen profile reads its operator, assembled once."""
+        grid = Grid.from_window(a=self.a, b=self.b, n=self.n,
+                                window=(self.omega_a, self.omega_b), T=self.T, nt=self.nt)
+        spec = ProblemSpec(grid=grid, s=self.s, alpha=self.alpha, vmin=self.m, vmax=self.M,
+                           rho0=np.zeros(grid.n), rho_target=np.zeros(grid.n))
+        return spec.with_data(_profile(self.rho0, spec), _profile(self.rhod, spec))
+
+
+def benchmark_problem(n: int = ProblemConfig.n, nt: int = ProblemConfig.nt) -> ProblemSpec:
+    """The small-data reference instance, ProblemConfig's defaults, with n
+    interior nodes and nt time steps.  Its data are small enough that the
+    local-uniqueness condition holds with a wide margin."""
+    return ProblemConfig(n=n, nt=nt).build()

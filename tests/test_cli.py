@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracctrl import cli
+from fracctrl import cli, problem
 from fracctrl.cli import (
     ConfigError,
     OptimizerConfig,
-    ProblemConfig,
     RunConfig,
     build_spec,
     main,
@@ -107,9 +106,9 @@ class TestConfigParsing:
         assert spec_a.rho0_sup == spec_b.rho0_sup
 
     def test_default_problem_is_the_reference_instance(self):
-        # the reference instance has two owners, the CLI defaults and
-        # benchmark_problem; drift in either fails here
-        cli_spec = build_spec(ProblemConfig())
+        # the config's problem block defaults to the reference instance,
+        # whose one description is ProblemConfig's defaults
+        cli_spec = build_spec(RunConfig().problem)
         ref = benchmark_problem()
         assert cli_spec.grid == ref.grid
         assert (cli_spec.s, cli_spec.alpha, cli_spec.vmin, cli_spec.vmax) == \
@@ -146,10 +145,44 @@ class TestConfigParsing:
         assert parse_config("optimizer.sigma0 = auto\n").optimizer.sigma0 is None
         assert parse_config("optimizer.sigma0 = 0.5\n").optimizer.sigma0 == 0.5
 
-    def test_profile_errors(self):
+    def test_profile_errors(self, tmp_path, capsys):
         cfg = parse_config("problem.rho0 = blobby(1)\n")
         with pytest.raises(ConfigError, match="blobby"):
             build_spec(cfg.problem)
+        # through the CLI each bad profile ends in exit 2 and a one-line
+        # message naming it, never a traceback
+        config = tmp_path / "run.cfg"
+        words = tmp_path / "words.txt"
+        words.write_text("abc\n")
+        for text, message in [
+                (f"csv({words})", f"cannot read profile file '{words}': could not convert"),
+                ("bump()", "bad argument '' in 'bump()'"),
+                ("eigen(2.5)", "bad argument '2.5' in 'eigen(2.5)'"),
+                ("eigen(0)", "eigenvector index must lie in 1..15, got 0"),
+                ("csv()", "cannot read profile file ''"),
+                ("bump(inf)", "argument 'inf' in 'bump(inf)' is not finite"),
+                ("BUMP(1)", "malformed profile 'BUMP(1)'"),
+                ("bump(1)(2)", "bad argument '1)(2' in 'bump(1)(2)'"),
+                ("zero(3)", "profile 'zero(3)' takes no argument: zero"),
+                ("zero()", "profile 'zero()' takes no argument: zero")]:
+            config.write_text(f"problem.n = 15\nproblem.nt = 10\nproblem.rho0 = {text}\n")
+            assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}") and err.count("\n") == 1, text
+
+    def test_eigen_profiles_read_the_spec_operator(self, monkeypatch):
+        # the profiles and the instance share one assembled operator
+        calls = []
+        assemble = problem.assemble_operator
+        monkeypatch.setattr(problem, "assemble_operator",
+                            lambda *args: calls.append(args) or assemble(*args))
+        spec = build_spec(parse_config(
+            "problem.n = 31\nproblem.rho0 = eigen(1)\nproblem.rhod = eigen(2)\n").problem)
+        spec.operator
+        assert len(calls) == 1
+        vals, vecs = np.linalg.eigh(spec.operator.matrix)
+        assert np.allclose(np.abs(spec.rho0), np.abs(vecs[:, 0]) / np.abs(vecs[:, 0]).max())
+        assert spec.rho_target.max() == 1.0
 
     def test_default_text_pinned(self):
         # every key, its order and its default; the blocks reuse the library's
@@ -339,6 +372,17 @@ class TestBadInput:
         code = main(["solve", "--control", "constant(abc)", "--out", str(tmp_path)])
         assert code == 2
         assert "abc" in capsys.readouterr().err
+        # the control sources share the profiles' grammar and its messages
+        config = tmp_path / "run.cfg"
+        config.write_text("problem.n = 15\nproblem.nt = 10\n")
+        for text, message in [
+                ("zero(1)", "control source 'zero(1)' takes no argument: zero"),
+                ("constant()", "bad argument '' in 'constant()'"),
+                ("constant(inf)", "argument 'inf' in 'constant(inf)' is not finite"),
+                ("CONSTANT(1)", "malformed control source 'CONSTANT(1)'")]:
+            assert main(["solve", "--config", str(config), "--control", text,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n", text
 
     def test_negative_iteration_budget(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -69,14 +69,16 @@ class TestProblemSpec:
         assert spec.rho0_sup == 0.25
         assert spec.target_sup == 0.5
 
-    def test_declared_sup_below_the_sampled_max_rejected(self):
-        grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
-        data = dict(grid=grid, s=0.5, alpha=1.0, vmin=-1.0, vmax=1.0,
-                    rho0=np.full(8, -0.25), rho_target=np.full(8, 0.5))
-        assert ProblemSpec(**data, rho0_sup=0.25, target_sup=0.75).target_sup == 0.75
-        for sups in (dict(rho0_sup=0.2), dict(target_sup=0.4), dict(rho0_sup=np.nan)):
-            with pytest.raises(ValueError, match="below the sampled max"):
-                ProblemSpec(**data, **sups)
+    def test_sups_are_neither_passed_nor_replaced(self):
+        # the sups are derived from the data, so no argument can set one
+        spec = benchmark_problem(n=15, nt=10)
+        with pytest.raises(TypeError, match="rho0_sup"):
+            ProblemSpec(grid=spec.grid, s=spec.s, alpha=spec.alpha, vmin=spec.vmin,
+                        vmax=spec.vmax, rho0=spec.rho0, rho_target=spec.rho_target,
+                        rho0_sup=1.0)
+        for sup in ("rho0_sup", "target_sup"):
+            with pytest.raises(ValueError, match=sup):
+                replace(spec, **{sup: 1.0})
 
     def test_replace_assembles_the_operator_of_its_order(self):
         spec = benchmark_problem(n=15, nt=10)
@@ -84,12 +86,18 @@ class TestProblemSpec:
         assert replace(spec, s=0.3).operator.s == 0.3
         assert spec.operator.s == 0.5
 
-    def test_replace_with_stale_sups_rejected(self):
-        # replace copies rho0_sup along with the new data; a sup below the
-        # data it describes would make the smallness conditions pass silently
+    def test_replace_recomputes_the_sups(self):
+        # replace with larger data gets the sups of that data, so the
+        # smallness conditions cannot read those of the old data
         spec = benchmark_problem(n=15, nt=10)
-        with pytest.raises(ValueError, match="rho0_sup"):
-            replace(spec, rho0=5 * spec.rho0)
+        larger = replace(spec, rho0=bump_profile(spec.grid, 5.0), rho_target=3 * spec.rho_target)
+        assert larger.rho0_sup == 5.0
+        assert larger.target_sup == 3 * spec.target_sup
+        uniq = uniqueness_condition(larger)
+        assert uniq.lhs == pytest.approx(3 * np.exp(3 * spec.theta * spec.grid.T)
+                                         * (5.0**2 + (3 * spec.target_sup) ** 2), rel=1e-14)
+        assert uniqueness_condition(spec).holds
+        assert not uniq.holds
 
     def test_with_data_shares_the_operator_and_recomputes_the_sups(self):
         spec = benchmark_problem(n=15, nt=10)
