@@ -1,10 +1,12 @@
 """Box-constrained minimization of the tracking cost.
 
 Two drivers: projected gradient with Armijo backtracking along the
-projection arc (monotone in J), and damped fixed-point iteration of the
-projection formula u = clip(-rho*q/alpha) (no monotonicity guarantee, fast
-under the small-data contraction regime).  A multistart wrapper probes
-local uniqueness by comparing converged controls from random starts.
+projection arc (monotone in J; every update after the first tries the
+Barzilai-Borwein step first, capped at the first update's step), and damped
+fixed-point iteration of the projection formula u = clip(-rho*q/alpha) (no
+monotonicity guarantee, fast under the small-data contraction regime).  A
+multistart wrapper probes local uniqueness by comparing converged controls
+from random starts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ MAX_BACKTRACKS = 40
 
 @dataclass
 class OptimOptions:
+    """Settings of both drivers.  sigma0 is projected gradient's first trial
+    step on its first update, and caps the spectral first trial of every
+    later update."""
+
     max_iters: int = 200
     kkt_tol: float = 1e-8
     armijo_c1: float = 1e-4
@@ -77,13 +83,14 @@ class OptimResult:
 
 def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> OptimResult:
     """Evaluate the projected start, then replace the iterate by
-    step(spec, e, opts) until it is non-finite, meets kkt_tol or spends
-    max_iters updates, or until step returns None (stalled).  Each evaluated
-    control marches its state and adjoint on one StepSolver."""
+    step(spec, e, opts, prev) until it is non-finite, meets kkt_tol or
+    spends max_iters updates, or until step returns None (stalled).  prev is
+    the previous iterate's (u values, gradient), None on the first update.
+    Each evaluated control marches its state and adjoint on one StepSolver."""
     u0 = project(spec, v0)
     e = kkt_residual(spec, u0, steps=StepSolver(spec, u0))
     j_hist, kkt_hist = [e.j], [e.residual]
-    status = None
+    status, prev = None, None
     while status is None:
         if not e.finite:
             status = "failed"
@@ -91,23 +98,32 @@ def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> O
             status = "converged"
         elif len(j_hist) > opts.max_iters:
             status = "max_iters"
-        elif (nxt := step(spec, e, opts)) is None:
+        elif (nxt := step(spec, e, opts, prev)) is None:
             status = "stalled"
         else:
-            e = nxt
+            prev, e = (e.u.values, e.g), nxt
             j_hist.append(e.j)
             kkt_hist.append(e.residual)
     return OptimResult(e, j_hist, kkt_hist, status)
 
 
-def _armijo_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions) -> Evaluation | None:
+def _armijo_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions,
+                 prev=None) -> Evaluation | None:
     """The next projected-gradient iterate, or None when no trial passes Armijo.
 
-    Each trial marches its state on its own step factors; an accepted trial
-    hands them to its adjoint, and a rejected one drops them before the next
-    trial builds.
+    The first trial step is sigma0 when prev is None; otherwise it is the
+    Barzilai-Borwein step <s,s>/<s,y> of s = u - u_prev, y = g - g_prev,
+    capped at sigma0, or sigma0 when <s,y> <= 0 (no curvature along s).
+    Each rejection multiplies it by opts.backtrack.  Each trial marches its
+    state on its own step factors; an accepted trial hands them to its
+    adjoint, and a rejected one drops them before the next trial builds.
     """
     sigma = opts.step0(spec)
+    if prev is not None:
+        s, y = e.u.values - prev[0], e.g - prev[1]
+        sy = spec.control_dot(s, y)
+        if sy > 0:
+            sigma = min(sigma, spec.control_dot(s, s) / sy)
     for _ in range(MAX_BACKTRACKS):
         cand = project(spec, e.u.values - sigma * e.g)
         if np.array_equal(cand.values, e.u.values):
@@ -130,13 +146,18 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
     """Armijo projected gradient; every iterate admissible, J nonincreasing.
 
     Steps v+ = clip(v - sigma*g) with sigma backtracked until
-    J(v+end) <= J(v) - c1 * <g, v - v+> in L2(omega_T).
+    J(v+) <= J(v) - c1 * <g, v - v+> in L2(omega_T).  The first update
+    starts at sigma0; every later one at the spectral (Barzilai-Borwein)
+    step min(sigma0, <s,s>/<s,y>) of the last update's control and gradient
+    differences, or at sigma0 when <s,y> <= 0.
     """
     return _iterate(spec, v0, opts, _armijo_step)
 
 
-def _fixed_point_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions) -> Evaluation | None:
-    """The next damped fixed-point iterate, or None when the step is below 1e-14."""
+def _fixed_point_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions,
+                      prev=None) -> Evaluation | None:
+    """The next damped fixed-point iterate, or None when the step is below
+    1e-14.  The previous iterate prev is not used."""
     new_vals = (1.0 - opts.fp_damping) * e.u.values + opts.fp_damping * e.image.values
     if spec.control_norm(new_vals - e.u.values) < 1e-14:
         return None

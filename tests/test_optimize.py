@@ -155,6 +155,66 @@ class TestTrialFactors:
         assert at_build == [] and trials == []
 
 
+@pytest.fixture
+def trial_points(monkeypatch):
+    """The argument of every project call optimize makes through its own
+    binding: the projected start, then each Armijo trial's v - sigma*g."""
+    points, project = [], optimize.project
+
+    def recorded(spec, raw):
+        points.append(np.array(getattr(raw, "values", raw), dtype=float))
+        return project(spec, raw)
+
+    monkeypatch.setattr(optimize, "project", recorded)
+    return points
+
+
+class TestSpectralStep:
+    """Every update after the first tries min(sigma0, <s,s>/<s,y>) first."""
+
+    def test_backtracking_instance_converges_from_every_start(self):
+        # with sigma0 on every update, starts 0 and 1 stall at KKT 1.8e-8 and
+        # 1.4e-8: the rejected trials' cost decrease falls below J's round-off
+        spec, _ = backtracking_instance()
+        opts = OptimOptions(kkt_tol=1e-8)
+        for seed in range(6):
+            res = projected_gradient(spec, random_control(spec, np.random.default_rng(seed)),
+                                     opts)
+            assert res.status == "converged", seed
+            assert np.all(np.diff(res.j_history) <= 0.0), seed
+
+    def test_first_update_starts_at_sigma0(self, trial_points):
+        spec, start = backtracking_instance()
+        opts = OptimOptions(max_iters=1, kkt_tol=1e-12)
+        res = projected_gradient(spec, start, opts)
+        assert res.iterations == 1
+        e0 = kkt_residual(spec, optimize.project(spec, start))
+        assert np.array_equal(trial_points[1], e0.u.values - opts.step0(spec) * e0.g)
+
+    def test_later_update_starts_at_the_spectral_step(self, trial_points):
+        spec, start = backtracking_instance()
+        opts = OptimOptions()
+        e0 = kkt_residual(spec, start)
+        e1 = _armijo_step(spec, e0, opts)
+        s, y = e1.u.values - e0.u.values, e1.g - e0.g
+        sigma = spec.control_dot(s, s) / spec.control_dot(s, y)
+        assert 0.0 < sigma < opts.step0(spec)  # the spectral step, not the cap
+        trial_points.clear()
+        _armijo_step(spec, e1, opts, prev=(e0.u.values, e0.g))
+        assert np.array_equal(trial_points[0], e1.u.values - sigma * e1.g)
+
+    @pytest.mark.parametrize("curvature", [-1.0, 0.0, 1e-6])
+    def test_sigma0_without_curvature_and_as_cap(self, trial_points, curvature):
+        # y = curvature*s: <s,y> <= 0 falls back to sigma0, and the spectral
+        # step 1/curvature = 1e6 is capped at sigma0 = 1/alpha = 10
+        spec, start = backtracking_instance()
+        opts = OptimOptions()
+        e = kkt_residual(spec, start)
+        s = np.random.default_rng(7).standard_normal(e.g.shape)
+        _armijo_step(spec, e, opts, prev=(e.u.values - s, e.g - curvature * s))
+        assert np.array_equal(trial_points[0], e.u.values - opts.step0(spec) * e.g)
+
+
 class TestFixedPoint:
     def test_convex_case_single_step(self):
         rng = np.random.default_rng(41)
