@@ -158,7 +158,7 @@ def _load_config(args) -> RunConfig:
     else:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config '{args.config}': {exc}") from exc
         cfg = parse_config(text)
     if getattr(args, "seed", None) is None:
@@ -192,7 +192,7 @@ def _read_control_csv(path: str, spec: ProblemSpec) -> ControlField:
             if header != ["t", "x", "value"]:
                 raise ConfigError(f"control file '{path}' must carry a t,x,value header")
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read control file '{path}': {exc}") from exc
     if len(rows) != grid.nt * grid.n_omega:
         raise ConfigError(f"control file '{path}' has {len(rows)} rows, "
@@ -211,9 +211,21 @@ def _read_control_csv(path: str, spec: ProblemSpec) -> ControlField:
     return control
 
 
-def _write_kv(path: Path, items) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(f"{key} = {_format_value(value)}\n" for key, value in items)
+def _write(path: Path, writer, *args) -> None:
+    """writer(*args, path); an output file that cannot be written is a
+    config error naming it."""
+    try:
+        writer(*args, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{path}': {exc}") from exc
+
+
+def _write_text(text: str, path: Path) -> None:
+    path.write_text(text)
+
+
+def _write_kv(items, path: Path) -> None:
+    _write_text("".join(f"{key} = {_format_value(value)}\n" for key, value in items), path)
 
 
 def _solve_summary(spec: ProblemSpec, v: ControlField, rho) -> list:
@@ -239,12 +251,12 @@ def cmd_solve(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     del steps  # release the factors before any file is written
     items = _solve_summary(spec, v, rho)
     if args.command == "solve":
-        export_trajectory_csv(rho, out / "rho.csv")
+        _write(out / "rho.csv", export_trajectory_csv, rho)
     if args.adjoint:
-        export_trajectory_csv(q, out / "q.csv")
+        _write(out / "q.csv", export_trajectory_csv, q)
         if args.command == "adjoint":
             items.append(("adjoint_sup", q.linf()))
-    _write_kv(out / "summary.txt", items)
+    _write(out / "summary.txt", _write_kv, items)
     return 0
 
 
@@ -254,13 +266,13 @@ def cmd_optimize(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     result = driver(spec, start, cfg.optimizer)
     final = result.final
     out = Path(args.out)
-    export_control_csv(final.u, out / "u.csv")
-    export_trajectory_csv(final.rho, out / "rho.csv")
-    export_trajectory_csv(final.q, out / "q.csv")
+    _write(out / "u.csv", export_control_csv, final.u)
+    _write(out / "rho.csv", export_trajectory_csv, final.rho)
+    _write(out / "q.csv", export_trajectory_csv, final.q)
     c_user = cfg.optimizer.c_user
     uniq = uniqueness_condition(spec)
     ssc = ssc_smallness(spec, c_user)
-    _write_kv(out / "summary.txt", [
+    _write(out / "summary.txt", _write_kv, [
         ("status", result.status), ("iterations", result.iterations),
         ("cost", result.j_final), ("kkt_residual", result.kkt_final),
         ("control_l2", spec.control_norm(final.u.values)), ("control_sup", final.u.sup),
@@ -275,8 +287,8 @@ def cmd_verify(args, cfg: RunConfig, spec: ProblemSpec) -> int:
                         suites=(args.suite,) if args.suite else cfg.verify.suites)
     report = run_all(suite_cfg)
     out = Path(args.out)
-    (out / "report.txt").write_text(report.to_text())
-    report.to_csv(out / "report.csv")
+    _write(out / "report.txt", _write_text, report.to_text())
+    _write(out / "report.csv", report.to_csv)
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 4
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from math import gamma, pi, sqrt
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, toeplitz
 from scipy.linalg.lapack import dpotrs
 
@@ -219,6 +218,10 @@ def quadrature_oracle(u, x: float, s: float, eps: float) -> float:
     u must be defined on all of R (zero outside (-1, 1)) and twice
     differentiable near x.
     """
+    # Imported here: scipy.integrate pulls in scipy.optimize, .special and
+    # .fft, which every other import of fracctrl would pay for.
+    from scipy.integrate import quad
+
     if eps <= 0.0:
         raise ValueError(f"cutoff must be positive, got eps={eps}")
     cs = normalization_constant(s)

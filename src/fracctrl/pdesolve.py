@@ -322,12 +322,16 @@ def source_vstar_norm(spec: ProblemSpec, f) -> float:
 
 
 def _write_rows(path, times: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
-    """One t,x,value row per (time, node), 17 significant digits, under a header."""
-    t_col = np.repeat(times, len(x)).tolist()
-    x_col = np.tile(x, len(times)).tolist()
-    rows = map("%.17g,%.17g,%.17g\r\n".__mod__, zip(t_col, x_col, np.ravel(values).tolist()))
+    """One t,x,value row per (time, node), 17 significant digits, under a header.
+
+    Each x and each t is formatted once: a level's rows are one template,
+    t before every node's ",x,%.17g" tail, filled with that level's values."""
+    tails = [",%.17g,%%.17g\r\n" % xi for xi in x.tolist()]
+    levels = np.reshape(values, (len(times), len(tails))).tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("t,x,value\r\n" + "".join(rows))
+        fh.write("t,x,value\r\n")
+        for t, row in zip(times.tolist(), levels):
+            fh.write(("%.17g" % t).join(["", *tails]) % tuple(row))
 
 
 def export_trajectory_csv(field: TimeField, path) -> None:

@@ -492,6 +492,43 @@ class TestBadInput:
         assert harness_runs == []
         assert taken.read_text() == ""
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"problem.n = 31\n\xff\n")
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert f"cannot read config '{config}'" in capsys.readouterr().err
+
+    def test_control_csv_not_utf8(self, tmp_path, capsys):
+        argv = self._control_csv(tmp_path, lambda lines: lines)
+        path = tmp_path / "u.csv"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(argv) == 2
+        assert f"cannot read control file '{path}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["rho.csv", "q.csv", "summary.txt"])
+    def test_solve_output_file_not_writable(self, tmp_path, capsys, name):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["solve", "--adjoint", "--config", str(config), "--out", str(out)]) == 2
+        assert f"cannot write '{out / name}'" in capsys.readouterr().err
+
+    def test_optimize_control_file_not_writable(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "optimizer.max_iters = 1\n")
+        out = tmp_path / "out"
+        (out / "u.csv").mkdir(parents=True)
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == 2
+        assert f"cannot write '{out / 'u.csv'}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["report.txt", "report.csv"])
+    def test_verify_report_not_writable(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["verify", "--suite", "operator", "--out", str(out)]) == 2
+        assert f"cannot write '{out / name}'" in capsys.readouterr().err
+
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(f"problem.rho0 = csv({tmp_path / 'missing.txt'})\n")

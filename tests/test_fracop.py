@@ -1,10 +1,15 @@
 """Operator module: weights, Toeplitz assembly, norms, quadrature oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracctrl
 from fracctrl.fracop import (
     FractionalOperator,
     Grid,
@@ -180,6 +185,18 @@ class TestQuadratureOracle:
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
             quadrature_oracle(lambda y: 0.0, 0.0, 0.5, -1.0)
+
+    def test_quadpack_loads_on_first_call(self):
+        # a fresh interpreter: another test may already have loaded it here
+        script = ("import sys, fracctrl, fracctrl.cli, fracctrl.verify\n"
+                  "print('scipy.integrate' in sys.modules)\n"
+                  "fracctrl.quadrature_oracle(lambda y: 1.0 - y * y, 0.0, 0.5, 1e-3)\n"
+                  "print('scipy.integrate' in sys.modules)\n")
+        src = Path(fracctrl.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["False", "True"]
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_agreement_with_matrix_operator(self, s):

@@ -519,3 +519,25 @@ def test_control_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x,value"
     assert len(lines) == 1 + 2 * spec.grid.n_omega
+
+
+def _per_row_csv(times, x, values) -> bytes:
+    """The exports' bytes by the plain per-row formula."""
+    rows = [(t, xi, v) for t, row in zip(times, np.reshape(values, (len(times), len(x))))
+            for xi, v in zip(x, row)]
+    return ("t,x,value\r\n" + "".join("%.17g,%.17g,%.17g\r\n" % r for r in rows)).encode()
+
+
+def test_csv_exports_match_the_per_row_formula(tmp_path):
+    rng = np.random.default_rng(23)
+    spec = make_spec(n=7, nt=5, rho0=rng.standard_normal(7))
+    v = random_control(spec, rng)
+    rho = solve_state(spec, v)
+    rho.values[1, 2:5] = [-0.0, 1e-300, 1.0 / 3.0]
+    grid = spec.grid
+    export_trajectory_csv(rho, tmp_path / "rho.csv")
+    export_control_csv(v, tmp_path / "v.csv")
+    assert (tmp_path / "rho.csv").read_bytes() == _per_row_csv(rho.times, grid.nodes,
+                                                               rho.values)
+    assert (tmp_path / "v.csv").read_bytes() == _per_row_csv(
+        grid.dt * np.arange(1, grid.nt + 1), grid.nodes[grid.omega_mask], v.values)
