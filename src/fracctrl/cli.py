@@ -48,8 +48,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class OptimizerConfig(OptimOptions):
-    """The library's optimizer options (sigma0 = None is "auto" in config
-    text) plus the choices only the CLI makes."""
+    """The library's optimizer options plus the choices only the CLI makes."""
 
     method: str = "pg"  # pg | fp
     c_user: float = 0.0
@@ -84,8 +83,6 @@ def _keys(section: str) -> list[str]:
 def _parse_value(section: str, name: str, text: str, lineno: int):
     text = text.strip()
     try:
-        if section == "optimizer" and name == "sigma0":
-            return None if text == "auto" else float(text)
         if section == "verify" and name == "suites":
             return tuple(part.strip() for part in text.split(",") if part.strip())
         current = getattr(_SECTIONS[section](), name)
@@ -123,8 +120,6 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return "auto"
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, tuple):
@@ -285,8 +280,11 @@ def cmd_optimize(args, cfg: RunConfig, spec: ProblemSpec) -> int:
 def cmd_verify(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     suite_cfg = replace(cfg.verify, spec=spec, c_user=cfg.optimizer.c_user,
                         suites=(args.suite,) if args.suite else cfg.verify.suites)
-    report = run_all(suite_cfg)
     out = Path(args.out)
+    # an unwritable report stops the run before the harness, not after it
+    for name in ("report.txt", "report.csv"):
+        _write(out / name, _write_text, "")
+    report = run_all(suite_cfg)
     _write(out / "report.txt", _write_text, report.to_text())
     _write(out / "report.csv", report.to_csv)
     sys.stdout.write(report.to_text())

@@ -23,6 +23,7 @@ from .pdesolve import (
     StepSolver,
     TimeField,
     solve_adjoint,
+    solve_linearized,
     solve_state,
     window_source,
 )
@@ -106,7 +107,8 @@ def gradient(spec: ProblemSpec, v: ControlField):
     return e.g, e.rho, e.q
 
 
-def hessian_action(e: Evaluation, directions: np.ndarray) -> np.ndarray:
+def hessian_action(e: Evaluation, directions: np.ndarray,
+                   y: TimeField | None = None) -> np.ndarray:
     """H w on the window for each w of a stack of directions, shape
     (k, nt, n_omega): the derivative of the gradient field along w at the
     evaluated control e.u, alpha*w + y*q + rho*p.
@@ -117,12 +119,14 @@ def hessian_action(e: Evaluation, directions: np.ndarray) -> np.ndarray:
     linearized map and <Hw, d> = <w, Hd> holds to round-off.  The k
     directions share one forward and one backward block march, and each
     action is bitwise its direction's alone; the stack is C-contiguous, so
-    each H w sums as one (nt, n_omega) array.
+    each H w sums as one (nt, n_omega) array.  y may be given: it is
+    solve_linearized(spec, e.u, directions, e.rho, steps=e.steps).
     """
     spec, grid = e.spec, e.spec.grid
+    if y is None:
+        y = solve_linearized(spec, e.u, directions, e.rho, steps=e.steps)
     w = np.moveaxis(np.asarray(directions, dtype=float), 0, -1)  # (nt, n_omega, k)
     rho, q = e.rho.restrict_omega()[..., None], e.q.restrict_omega()[..., None]
-    y = e.steps.march(np.zeros((grid.n, w.shape[-1])), window_source(grid, w * rho))
     p = e.steps.march(y.final, window_source(grid, w * q), backward=True)
     h = spec.alpha * w + y.restrict_omega() * q + rho * p.restrict_omega()
     return np.ascontiguousarray(np.moveaxis(h, -1, 0))

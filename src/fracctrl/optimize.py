@@ -2,11 +2,11 @@
 
 Two drivers: projected gradient with Armijo backtracking along the
 projection arc (monotone in J; every update after the first tries the
-Barzilai-Borwein step first, capped at the first update's step), and damped
-fixed-point iteration of the projection formula u = clip(-rho*q/alpha) (no
-monotonicity guarantee, fast under the small-data contraction regime).  A
-multistart wrapper probes local uniqueness by comparing converged controls
-from random starts.
+Barzilai-Borwein step first, capped at the first update's step 1/alpha),
+and fixed-point iteration of the projection formula u = clip(-rho*q/alpha)
+(no monotonicity guarantee, fast under the small-data contraction regime).
+A multistart wrapper probes local uniqueness by comparing converged
+controls from random starts.
 """
 
 from __future__ import annotations
@@ -21,40 +21,25 @@ from .problem import ProblemSpec
 
 # Armijo trials per iteration before the iterate counts as stalled.
 MAX_BACKTRACKS = 40
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant c1 of the Armijo test
+BACKTRACK = 0.5  # factor each rejected Armijo trial multiplies its step by
 
 
 @dataclass
 class OptimOptions:
-    """Settings of both drivers.  sigma0 is projected gradient's first trial
-    step on its first update, and caps the spectral first trial of every
-    later update."""
+    """Settings of both drivers."""
 
     max_iters: int = 200
     kkt_tol: float = 1e-8
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    sigma0: float | None = None  # None -> 1/alpha, the natural quadratic scaling
-    fp_damping: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError(f"armijo constant must lie in (0,1), got {self.armijo_c1}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack factor must lie in (0,1), got {self.backtrack}")
-        if self.sigma0 is not None and not self.sigma0 > 0:
-            raise ValueError(f"initial step must be positive, got {self.sigma0}")
-        if not 0.0 < self.fp_damping <= 1.0:
-            raise ValueError(f"fixed-point damping must lie in (0,1], got {self.fp_damping}")
         if not self.kkt_tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.kkt_tol}")
         if self.max_iters < 0:
             raise ValueError(f"iteration budget must be nonnegative, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-    def step0(self, spec: ProblemSpec) -> float:
-        return self.sigma0 if self.sigma0 is not None else 1.0 / spec.alpha
 
 
 @dataclass
@@ -83,7 +68,7 @@ class OptimResult:
 
 def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> OptimResult:
     """Evaluate the projected start, then replace the iterate by
-    step(spec, e, opts, prev) until it is non-finite, meets kkt_tol or
+    step(spec, e, prev) until it is non-finite, meets kkt_tol or
     spends max_iters updates, or until step returns None (stalled).  prev is
     the previous iterate's (u values, gradient), None on the first update.
     Each evaluated control marches its state and adjoint on one StepSolver."""
@@ -98,7 +83,7 @@ def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> O
             status = "converged"
         elif len(j_hist) > opts.max_iters:
             status = "max_iters"
-        elif (nxt := step(spec, e, opts, prev)) is None:
+        elif (nxt := step(spec, e, prev)) is None:
             status = "stalled"
         else:
             prev, e = (e.u.values, e.g), nxt
@@ -107,18 +92,17 @@ def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> O
     return OptimResult(e, j_hist, kkt_hist, status)
 
 
-def _armijo_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions,
-                 prev=None) -> Evaluation | None:
+def _armijo_step(spec: ProblemSpec, e: Evaluation, prev=None) -> Evaluation | None:
     """The next projected-gradient iterate, or None when no trial passes Armijo.
 
-    The first trial step is sigma0 when prev is None; otherwise it is the
+    The first trial step is 1/alpha when prev is None; otherwise it is the
     Barzilai-Borwein step <s,s>/<s,y> of s = u - u_prev, y = g - g_prev,
-    capped at sigma0, or sigma0 when <s,y> <= 0 (no curvature along s).
-    Each rejection multiplies it by opts.backtrack.  Each trial marches its
+    capped at 1/alpha, or 1/alpha when <s,y> <= 0 (no curvature along s).
+    Each rejection multiplies it by BACKTRACK.  Each trial marches its
     state on its own step factors; an accepted trial hands them to its
     adjoint, and a rejected one drops them before the next trial builds.
     """
-    sigma = opts.step0(spec)
+    sigma = 1.0 / spec.alpha
     if prev is not None:
         s, y = e.u.values - prev[0], e.g - prev[1]
         sy = spec.control_dot(s, y)
@@ -131,14 +115,14 @@ def _armijo_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions,
             # would repeat e's cost with a predicted decrease of 0, so the
             # iterate froze
             return None
-        predicted = opts.armijo_c1 * spec.control_dot(e.g, e.u.values - cand.values)
+        predicted = ARMIJO_C1 * spec.control_dot(e.g, e.u.values - cand.values)
         steps = StepSolver(spec, cand)
         rho_c = solve_state(spec, cand, steps=steps)
         j_c = cost_from_state(spec, cand, rho_c)
         if np.isfinite(j_c) and j_c <= e.j - predicted:
             return kkt_residual(spec, cand, rho=rho_c, steps=steps)
         del steps
-        sigma *= opts.backtrack
+        sigma *= BACKTRACK
     return None
 
 
@@ -147,18 +131,19 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
 
     Steps v+ = clip(v - sigma*g) with sigma backtracked until
     J(v+) <= J(v) - c1 * <g, v - v+> in L2(omega_T).  The first update
-    starts at sigma0; every later one at the spectral (Barzilai-Borwein)
-    step min(sigma0, <s,s>/<s,y>) of the last update's control and gradient
-    differences, or at sigma0 when <s,y> <= 0.
+    starts at 1/alpha; every later one at the spectral (Barzilai-Borwein)
+    step min(1/alpha, <s,s>/<s,y>) of the last update's control and gradient
+    differences, or at 1/alpha when <s,y> <= 0.
     """
     return _iterate(spec, v0, opts, _armijo_step)
 
 
-def _fixed_point_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions,
-                      prev=None) -> Evaluation | None:
-    """The next damped fixed-point iterate, or None when the step is below
-    1e-14.  The previous iterate prev is not used."""
-    new_vals = (1.0 - opts.fp_damping) * e.u.values + opts.fp_damping * e.image.values
+def _fixed_point_step(spec: ProblemSpec, e: Evaluation, prev=None) -> Evaluation | None:
+    """The image of e.u under the projection formula as the next iterate, or
+    None when the step is below 1e-14.  The previous iterate prev is not used."""
+    # the image keeps the Fortran order of restrict_omega's product; a
+    # C-ordered iterate, like every other control, sums in row order
+    new_vals = np.ascontiguousarray(e.image.values)
     if spec.control_norm(new_vals - e.u.values) < 1e-14:
         return None
     u = ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
@@ -166,7 +151,7 @@ def _fixed_point_step(spec: ProblemSpec, e: Evaluation, opts: OptimOptions,
 
 
 def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> OptimResult:
-    """Damped iteration of v+ = (1-sigma)v + sigma*clip(-rho(v)q(v)/alpha).
+    """Iteration of the projection formula v+ = clip(-rho(v)q(v)/alpha).
 
     Stops on the KKT residual or on a stalled step; J is reported as
     observed, without a monotonicity guarantee.  A step shorter than 1e-14

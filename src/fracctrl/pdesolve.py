@@ -298,19 +298,26 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
     return _steps_for(spec, v, steps).march(terminal, backward=True)
 
 
-def solve_linearized(spec: ProblemSpec, v: ControlField, w: ControlField,
+def solve_linearized(spec: ProblemSpec, v: ControlField, w,
                      rho: TimeField, steps: StepSolver | None = None) -> TimeField:
     """Derivative of the discrete forward map in the control direction w.
 
     y^0 = 0 and M_n y^n = y^(n-1) + dt * (w^n rho^n) on the window, with rho
     the solve_state trajectory for v.  This is exact for the discrete scheme:
     it is what differentiating M_n rho^n = rho^(n-1) in v gives.
+
+    w is a ControlField, or a stack (k, nt, n_omega) of directions marched as
+    one (nt+1, n, k) block, whose column j is bitwise direction j's alone.
     """
     grid = spec.grid
     if rho.grid != grid:
         raise ValueError("state trajectory was computed on a different grid")
-    return _steps_for(spec, v, steps).march(np.zeros(grid.n),
-                                            window_source(grid, w.values * rho.restrict_omega()))
+    if isinstance(w, ControlField):
+        source = w.values * rho.restrict_omega()
+    else:  # (k, nt, n_omega) -> (nt, n_omega, k), against rho's (nt, n_omega, 1)
+        source = np.moveaxis(np.asarray(w, dtype=float), 0, -1) * rho.restrict_omega()[..., None]
+    return _steps_for(spec, v, steps).march(np.zeros((grid.n,) + source.shape[2:]),
+                                            window_source(grid, source))
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:

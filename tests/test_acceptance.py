@@ -206,7 +206,7 @@ def test_criterion_08_kkt_projection():
     rng = np.random.default_rng(108)
     vi = sampled_vi_min(spec, pg.final.u, kkt.g, 100, rng)
     fp = fixed_point(spec, constant_control(spec.grid, -0.2, spec.vmin, spec.vmax),
-                     OptimOptions(kkt_tol=1e-8, fp_damping=1.0))
+                     OptimOptions(kkt_tol=1e-8))
     agree = spec.control_norm(pg.final.u.values - fp.final.u.values)
     ok = (pg.status == "converged" and kkt.residual <= 1e-8
           and vi >= -1e-8 and fp.status == "converged" and agree <= 1e-6)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,10 +57,6 @@ problem.rhod = bump(0.05)
 optimizer.method = pg
 optimizer.max_iters = 200
 optimizer.kkt_tol = 1e-08
-optimizer.armijo_c1 = 0.0001
-optimizer.backtrack = 0.5
-optimizer.sigma0 = auto
-optimizer.fp_damping = 1
 optimizer.seed = 0
 optimizer.c_user = 0
 verify.seed = 0
@@ -141,10 +138,6 @@ class TestConfigParsing:
         cfg = parse_config("# header\n\nproblem.alpha = 2.0  # trailing\n")
         assert cfg.problem.alpha == 2.0
 
-    def test_sigma0_auto(self):
-        assert parse_config("optimizer.sigma0 = auto\n").optimizer.sigma0 is None
-        assert parse_config("optimizer.sigma0 = 0.5\n").optimizer.sigma0 == 0.5
-
     def test_profile_errors(self, tmp_path, capsys):
         cfg = parse_config("problem.rho0 = blobby(1)\n")
         with pytest.raises(ConfigError, match="blobby"):
@@ -189,9 +182,16 @@ class TestConfigParsing:
         # dataclasses, so a field added there must not leak into the config
         assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
 
+    def test_readme_config_block_is_the_default_text(self):
+        # README lists every key with its default in its ini block
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "".join(line.split("#", 1)[0].rstrip() + "\n"
+                       for line in block.splitlines()) == serialize_config(RunConfig())
+
     def test_invalid_optimizer_value_rejected_when_parsed(self):
-        with pytest.raises(ConfigError, match="backtrack"):
-            parse_config("optimizer.backtrack = 2\n")
+        with pytest.raises(ConfigError, match="tolerance must be positive, got 0.0"):
+            parse_config("optimizer.kkt_tol = 0\n")
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("build", [
@@ -319,6 +319,15 @@ class TestCommands:
         code = main(["solve", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "alpha_" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["armijo_c1", "backtrack", "sigma0", "fp_damping"])
+    def test_removed_optimizer_key_exit_code(self, tmp_path, capsys, key):
+        # the Armijo constants, the first step and the damping are no settings
+        config = tmp_path / "run.cfg"
+        config.write_text(f"optimizer.{key} = 0.5\n")
+        code = main(["optimize", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"unknown key 'optimizer.{key}'" in capsys.readouterr().err
 
     def test_stability_violation_exit_code(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -523,11 +532,15 @@ class TestBadInput:
         assert f"cannot write '{out / 'u.csv'}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["report.txt", "report.csv"])
-    def test_verify_report_not_writable(self, tmp_path, capsys, name):
+    def test_verify_report_not_writable(self, tmp_path, capsys, monkeypatch, name):
+        # both report files are claimed before the harness, so no suite runs
+        harness_runs = []
+        monkeypatch.setattr(cli, "run_all", lambda cfg: harness_runs.append(cfg))
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         assert main(["verify", "--suite", "operator", "--out", str(out)]) == 2
         assert f"cannot write '{out / name}'" in capsys.readouterr().err
+        assert harness_runs == []
 
     def test_missing_profile_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

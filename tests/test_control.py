@@ -302,6 +302,15 @@ class TestHessianAction:
             assert len(step_solves) == 2 * e.spec.grid.nt
         assert len(builds) == 0
 
+    def test_a_given_linearized_block_is_the_forward_march(self, step_solves):
+        e, rng = self._evaluation(34)
+        directions = np.stack([random_direction(e.spec, rng).values for _ in range(3)])
+        y = solve_linearized(e.spec, e.u, directions, e.rho, steps=e.steps)
+        step_solves.clear()
+        given = hessian_action(e, directions, y=y)
+        assert len(step_solves) == e.spec.grid.nt  # the backward march alone
+        assert np.array_equal(given, hessian_action(e, directions))
+
     @pytest.mark.parametrize("kind", ["varying", "blocks"])
     def test_block_action_equals_the_single_actions(self, kind):
         rng = np.random.default_rng(33)

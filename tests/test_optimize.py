@@ -1,6 +1,7 @@
 """Projected gradient, fixed-point iteration, and the multistart probe."""
 
 import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,16 +56,20 @@ def solvers(monkeypatch):
 
 
 class TestOptions:
-    def test_defaults_and_step_scaling(self):
-        opts = OptimOptions()
+    def test_defaults_and_step_scaling(self, trial_points):
+        # three settings; the first trial step sigma0 is no setting but
+        # 1/alpha, the natural quadratic scaling
+        assert [f.name for f in fields(OptimOptions)] == ["max_iters", "kkt_tol", "seed"]
+        assert OptimOptions() == OptimOptions(max_iters=200, kkt_tol=1e-8, seed=0)
         spec = make_spec(alpha=4.0)
-        assert opts.step0(spec) == 0.25
-        assert OptimOptions(sigma0=2.0).step0(spec) == 2.0
+        e = kkt_residual(spec, random_control(spec, np.random.default_rng(1)))
+        _armijo_step(spec, e)
+        assert np.array_equal(trial_points[0], e.u.values - 0.25 * e.g)
 
     @pytest.mark.parametrize("bad", [
-        dict(armijo_c1=0.0), dict(armijo_c1=1.0), dict(backtrack=1.0),
-        dict(sigma0=-1.0), dict(fp_damping=0.0), dict(fp_damping=1.5),
-        dict(kkt_tol=0.0), dict(max_iters=-1), dict(seed=-1),
+        dict(kkt_tol=0.0), dict(kkt_tol=-0.0), dict(kkt_tol=-1e-8),
+        dict(kkt_tol=float("nan")), dict(kkt_tol=-float("inf")),
+        dict(max_iters=-1), dict(max_iters=-200), dict(seed=-1), dict(seed=-7),
     ])
     def test_invalid_options_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -150,8 +155,9 @@ class TestTrialFactors:
         spec, start = backtracking_instance()
         e = kkt_residual(spec, start)
         at_build.clear()
-        # a step far below float resolution leaves every entry of u unchanged
-        assert _armijo_step(spec, e, OptimOptions(sigma0=1e-300)) is None
+        # a gradient far below the float resolution of u: the first trial
+        # step 1/alpha leaves every entry of u unchanged
+        assert _armijo_step(spec, replace(e, g=1e-300 * e.g)) is None
         assert at_build == [] and trials == []
 
 
@@ -170,11 +176,13 @@ def trial_points(monkeypatch):
 
 
 class TestSpectralStep:
-    """Every update after the first tries min(sigma0, <s,s>/<s,y>) first."""
+    """Every update after the first tries min(sigma0, <s,s>/<s,y>) first,
+    where sigma0 = 1/alpha is the first update's trial step."""
 
     def test_backtracking_instance_converges_from_every_start(self):
-        # with sigma0 on every update, starts 0 and 1 stall at KKT 1.8e-8 and
-        # 1.4e-8: the rejected trials' cost decrease falls below J's round-off
+        # with 1/alpha as every update's first trial, starts 0 and 1 stall at
+        # KKT 1.8e-8 and 1.4e-8: the rejected trials' cost decrease falls
+        # below J's round-off
         spec, _ = backtracking_instance()
         opts = OptimOptions(kkt_tol=1e-8)
         for seed in range(6):
@@ -189,18 +197,17 @@ class TestSpectralStep:
         res = projected_gradient(spec, start, opts)
         assert res.iterations == 1
         e0 = kkt_residual(spec, optimize.project(spec, start))
-        assert np.array_equal(trial_points[1], e0.u.values - opts.step0(spec) * e0.g)
+        assert np.array_equal(trial_points[1], e0.u.values - (1.0 / spec.alpha) * e0.g)
 
     def test_later_update_starts_at_the_spectral_step(self, trial_points):
         spec, start = backtracking_instance()
-        opts = OptimOptions()
         e0 = kkt_residual(spec, start)
-        e1 = _armijo_step(spec, e0, opts)
+        e1 = _armijo_step(spec, e0)
         s, y = e1.u.values - e0.u.values, e1.g - e0.g
         sigma = spec.control_dot(s, s) / spec.control_dot(s, y)
-        assert 0.0 < sigma < opts.step0(spec)  # the spectral step, not the cap
+        assert 0.0 < sigma < 1.0 / spec.alpha  # the spectral step, not the cap
         trial_points.clear()
-        _armijo_step(spec, e1, opts, prev=(e0.u.values, e0.g))
+        _armijo_step(spec, e1, prev=(e0.u.values, e0.g))
         assert np.array_equal(trial_points[0], e1.u.values - sigma * e1.g)
 
     @pytest.mark.parametrize("curvature", [-1.0, 0.0, 1e-6])
@@ -208,11 +215,10 @@ class TestSpectralStep:
         # y = curvature*s: <s,y> <= 0 falls back to sigma0, and the spectral
         # step 1/curvature = 1e6 is capped at sigma0 = 1/alpha = 10
         spec, start = backtracking_instance()
-        opts = OptimOptions()
         e = kkt_residual(spec, start)
         s = np.random.default_rng(7).standard_normal(e.g.shape)
-        _armijo_step(spec, e, opts, prev=(e.u.values - s, e.g - curvature * s))
-        assert np.array_equal(trial_points[0], e.u.values - opts.step0(spec) * e.g)
+        _armijo_step(spec, e, prev=(e.u.values - s, e.g - curvature * s))
+        assert np.array_equal(trial_points[0], e.u.values - (1.0 / spec.alpha) * e.g)
 
 
 class TestFixedPoint:
@@ -220,7 +226,7 @@ class TestFixedPoint:
         rng = np.random.default_rng(41)
         spec = make_spec(target=rng.standard_normal(18))
         start = random_control(spec, rng)
-        res = fixed_point(spec, start, OptimOptions(fp_damping=1.0))
+        res = fixed_point(spec, start, OptimOptions())
         assert res.status == "converged"
         assert res.iterations == 1
         assert np.array_equal(res.final.u.values, np.zeros_like(res.final.u.values))
@@ -228,7 +234,7 @@ class TestFixedPoint:
     def test_zero_residual_at_fixed_point(self):
         spec = small_benchmark()
         res = fixed_point(spec, constant_control(spec.grid, 0.2, spec.vmin, spec.vmax),
-                          OptimOptions(fp_damping=1.0, kkt_tol=1e-10))
+                          OptimOptions(kkt_tol=1e-10))
         assert res.status == "converged"
         assert res.kkt_final <= 1e-10
 
@@ -239,7 +245,7 @@ class TestFixedPoint:
         pg = projected_gradient(spec, constant_control(spec.grid, 0.5, spec.vmin, spec.vmax),
                                 opts)
         fp = fixed_point(spec, constant_control(spec.grid, -0.5, spec.vmin, spec.vmax),
-                         OptimOptions(kkt_tol=1e-10, fp_damping=1.0))
+                         OptimOptions(kkt_tol=1e-10))
         assert pg.status == fp.status == "converged"
         dist = spec.control_norm(pg.final.u.values - fp.final.u.values)
         assert dist <= 1e-6
@@ -283,7 +289,7 @@ def test_variational_inequality_at_tight_residual():
 
     spec = small_benchmark()
     res = fixed_point(spec, constant_control(spec.grid, 0.1, spec.vmin, spec.vmax),
-                      OptimOptions(kkt_tol=1e-10, fp_damping=1.0))
+                      OptimOptions(kkt_tol=1e-10))
     assert res.status == "converged"
     report = kkt_residual(spec, res.final.u, rho=res.final.rho)
     assert report.residual <= 1e-10

@@ -260,6 +260,17 @@ class TestLinearizedSolver:
         with pytest.raises(ValueError, match="different grid"):
             solve_linearized(spec, v, random_direction(spec, rng), foreign)
 
+    def test_block_columns_are_the_single_marches(self):
+        rng = np.random.default_rng(16)
+        spec = make_spec(rho0=rng.standard_normal(18))
+        v = random_control(spec, rng, scale=0.8)
+        rho = solve_state(spec, v)
+        directions = [random_direction(spec, rng) for _ in range(3)]
+        block = solve_linearized(spec, v, np.stack([w.values for w in directions]), rho)
+        assert block.values.shape == (spec.grid.nt + 1, spec.grid.n, 3)
+        for j, w in enumerate(directions):
+            assert np.array_equal(block.values[..., j], solve_linearized(spec, v, w, rho).values)
+
     def test_finite_difference_slope_one(self):
         rng = np.random.default_rng(15)
         spec = make_spec(rho0=rng.standard_normal(18))

@@ -168,9 +168,6 @@ def run_configs(draw):
                             m=m, M=M, rho0=draw(_PROFILES), rhod=draw(_PROFILES))
     optimizer = OptimizerConfig(
         max_iters=draw(st.integers(0, 10**6)), kkt_tol=draw(_positive()),
-        armijo_c1=draw(_open_unit()), backtrack=draw(_open_unit()),
-        sigma0=draw(st.none() | _positive()),
-        fp_damping=draw(_finite(0.0, 1.0, exclude_min=True)),
         seed=draw(st.integers(0, 2**63)), method=draw(st.sampled_from(["pg", "fp"])),
         c_user=draw(_finite(0.0)))
     counts = {name: draw(st.integers(1, 10**6))
