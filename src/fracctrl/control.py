@@ -22,6 +22,7 @@ from .pdesolve import (
     ControlField,
     StepSolver,
     TimeField,
+    direction_stack,
     solve_adjoint,
     solve_linearized,
     solve_state,
@@ -123,9 +124,10 @@ def hessian_action(e: Evaluation, directions: np.ndarray,
     solve_linearized(spec, e.u, directions, e.rho, steps=e.steps).
     """
     spec, grid = e.spec, e.spec.grid
+    directions = direction_stack(grid, directions)
     if y is None:
         y = solve_linearized(spec, e.u, directions, e.rho, steps=e.steps)
-    w = np.moveaxis(np.asarray(directions, dtype=float), 0, -1)  # (nt, n_omega, k)
+    w = np.moveaxis(directions, 0, -1)  # (nt, n_omega, k)
     rho, q = e.rho.restrict_omega()[..., None], e.q.restrict_omega()[..., None]
     p = e.steps.march(y.final, window_source(grid, w * q), backward=True)
     h = spec.alpha * w + y.restrict_omega() * q + rho * p.restrict_omega()

@@ -140,13 +140,12 @@ def projected_gradient(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) 
 
 def _fixed_point_step(spec: ProblemSpec, e: Evaluation, prev=None) -> Evaluation | None:
     """The image of e.u under the projection formula as the next iterate, or
-    None when the step is below 1e-14.  The previous iterate prev is not used."""
+    None when the step, e.residual, is below 1e-14.  prev is not used."""
+    if e.residual < 1e-14:
+        return None
     # the image keeps the Fortran order of restrict_omega's product; a
     # C-ordered iterate, like every other control, sums in row order
-    new_vals = np.ascontiguousarray(e.image.values)
-    if spec.control_norm(new_vals - e.u.values) < 1e-14:
-        return None
-    u = ControlField(new_vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
+    u = e.u.like(np.ascontiguousarray(e.image.values))
     return kkt_residual(spec, u, steps=StepSolver(spec, u))
 
 

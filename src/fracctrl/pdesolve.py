@@ -26,6 +26,7 @@ trajectory once, raising SolverError that names the first non-finite level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -77,13 +78,9 @@ class TimeField:
     def linf(self) -> float:
         return linf_norm(self.values)
 
-    def snapshot_l2(self) -> np.ndarray:
-        """Discrete L2 norm of every snapshot, index 0..nt."""
-        dx = self.grid.dx
-        return np.sqrt(dx * np.sum(self.values**2, axis=1))
-
     def sup_l2(self) -> float:
-        return float(np.max(self.snapshot_l2()))
+        """Largest discrete L2 norm of the snapshots 0..nt."""
+        return sqrt(self.grid.dx * float(np.max(np.sum(self.values**2, axis=1))))
 
     def st_l2(self) -> float:
         """Space-time L2 over the implicit levels 1..nt (weight dx*dt)."""
@@ -92,9 +89,7 @@ class TimeField:
 
     def st_v(self, op: FractionalOperator) -> float:
         """Space-time energy norm (dt sum of squared V-seminorms, levels 1..nt)."""
-        dt = self.grid.dt
-        total = sum(v_seminorm(op, snap) ** 2 for snap in self.values[1:])
-        return float(np.sqrt(dt * total))
+        return sqrt(self.grid.dt) * v_seminorm(op, self.values[1:])
 
     def restrict_omega(self) -> np.ndarray:
         """Values on the omega nodes at levels 1..nt, control-shaped (nt, n_omega[, k])."""
@@ -247,6 +242,14 @@ def window_source(grid: Grid, values: np.ndarray) -> np.ndarray:
     return source
 
 
+def direction_stack(grid: Grid, w) -> np.ndarray:
+    """w as an array; anything but a stack (k, nt, n_omega) would broadcast."""
+    arr = np.asarray(w, dtype=float)
+    if arr.ndim != 3 or arr.shape[1:] != (grid.nt, grid.n_omega):
+        raise ValueError(f"direction stack shape {arr.shape} != (k, {grid.nt}, {grid.n_omega})")
+    return arr
+
+
 def _as_source(grid: Grid, f) -> np.ndarray:
     """Source at the implicit levels 1..nt as an (nt, n) array."""
     arr = np.asarray(f, dtype=float)
@@ -315,17 +318,14 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w,
     if isinstance(w, ControlField):
         source = w.values * rho.restrict_omega()
     else:  # (k, nt, n_omega) -> (nt, n_omega, k), against rho's (nt, n_omega, 1)
-        source = np.moveaxis(np.asarray(w, dtype=float), 0, -1) * rho.restrict_omega()[..., None]
+        source = np.moveaxis(direction_stack(grid, w), 0, -1) * rho.restrict_omega()[..., None]
     return _steps_for(spec, v, steps).march(np.zeros((grid.n,) + source.shape[2:]),
                                             window_source(grid, source))
 
 
 def source_vstar_norm(spec: ProblemSpec, f) -> float:
     """Space-time dual norm of a source: (dt sum_n ||f^n||_V*^2)^(1/2)."""
-    arr = _as_source(spec.grid, f)
-    op = spec.operator
-    total = sum(vstar_norm(op, row) ** 2 for row in arr)
-    return float(np.sqrt(spec.grid.dt * total))
+    return sqrt(spec.grid.dt) * vstar_norm(spec.operator, _as_source(spec.grid, f))
 
 
 def _write_rows(path, times: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:

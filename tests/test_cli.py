@@ -1,6 +1,9 @@
 """Config parsing, command dispatch, exit codes, artifact layout."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -364,6 +367,24 @@ class TestCommands:
             outs.append((out / "report.txt").read_bytes()
                         + (out / "report.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_estimate_reports_byte_identical_under_one_and_two_blas_threads(self, tmp_path):
+        # the suite's energy and dual norms sum in numpy, not in threaded BLAS
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY)
+        src = Path(cli.__file__).resolve().parents[1]
+        runs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            runs[threads] = subprocess.Popen(
+                [sys.executable, "-m", "fracctrl.cli", "verify", "--config", str(config),
+                 "--suite", "estimates", "--out", str(tmp_path / threads)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for proc in runs.values():
+            assert proc.wait(timeout=120) == 0, proc.stderr.read()
+            proc.stderr.close()
+        for name in ("report.txt", "report.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestBadInput:

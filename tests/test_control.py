@@ -326,6 +326,23 @@ class TestHessianAction:
                     == hessian_bilinear(e, ControlField(w, spec.grid), ControlField(w, spec.grid)))
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 7), (2, 10, 1), (10, 7), (7,), (1, 2, 10, 7)])
+def test_misshaped_direction_stacks_are_refused(shape):
+    # each of these broadcasts against the (nt, n_omega) = (10, 7) window
+    rng = np.random.default_rng(41)
+    spec = make_spec(n=11, nt=10, rho0=rng.standard_normal(11), target=rng.standard_normal(11))
+    assert (spec.grid.nt, spec.grid.n_omega) == (10, 7)
+    e = kkt_residual(spec, random_control(spec, rng, scale=0.5))
+    w = rng.standard_normal(shape)
+    with pytest.raises(ValueError, match="direction stack shape"):
+        solve_linearized(spec, e.u, w, e.rho)
+    with pytest.raises(ValueError, match="direction stack shape"):
+        hessian_action(e, w)
+    y = solve_linearized(spec, e.u, rng.standard_normal((2, 10, 7)), e.rho, steps=e.steps)
+    with pytest.raises(ValueError, match="direction stack shape"):
+        hessian_action(e, w, y=y)
+
+
 class TestStepReuse:
     """An Evaluation builds its step factors once, when a Hessian first asks
     for them; evaluating a control does not build them."""

@@ -265,6 +265,26 @@ class TestNorms:
         assert best <= target * (1 + 1e-12)
         assert best == pytest.approx(target, rel=1e-6)
 
+    @pytest.mark.parametrize("n, nt", [(64, 256), (129, 512)])
+    def test_stack_is_the_root_of_the_summed_row_squares(self, n, nt):
+        rng = np.random.default_rng(n)
+        op = assemble_operator(make_grid(n, nt=nt), 0.5)
+        rows = rng.standard_normal((nt, n))
+        # the per-row loop the stack forms replace
+        v_ref = math.sqrt(sum(op.dx * float(np.dot(r, op.matrix @ r)) for r in rows))
+        d_ref = math.sqrt(sum(op.dx * float(np.dot(r, op.solve(r))) for r in rows))
+        assert v_seminorm(op, rows) == pytest.approx(v_ref, rel=1e-14, abs=0)
+        assert vstar_norm(op, rows) == pytest.approx(d_ref, rel=1e-14, abs=0)
+        zeros = np.zeros((nt, n))
+        assert (v_seminorm(op, zeros), vstar_norm(op, zeros)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (9,), (3, 7), (2, 8, 8)])
+    def test_stack_of_other_rows_is_refused(self, shape):
+        op = assemble_operator(make_grid(8), 0.5)
+        for norm in (v_seminorm, vstar_norm):
+            with pytest.raises(ValueError, match="rows of length 8"):
+                norm(op, np.ones(shape))
+
     def test_l2_and_linf(self):
         assert l2_norm(0.5, np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5))
         assert linf_norm(np.array([-3.0, 2.0])) == 3.0

@@ -11,8 +11,8 @@ from fracctrl import control, verify
 from fracctrl.control import check_coercivity, kkt_residual
 from fracctrl.fracop import Grid
 from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
-from fracctrl.pdesolve import (ControlField, constant_control, solve_sourced, source_vstar_norm,
-                               window_source)
+from fracctrl.pdesolve import (ControlField, TimeField, constant_control, solve_sourced,
+                               source_vstar_norm, window_source)
 from fracctrl.problem import ProblemSpec, benchmark_problem, bump_profile
 from fracctrl.verify import (
     CLAIMS,
@@ -113,6 +113,36 @@ def test_estimate_slack_refinement_trend():
     steps = np.abs(np.diff(ratios))
     assert np.all(np.diff(steps) < 0)
     assert steps[-1] <= 0.6 * steps[0]
+
+
+class TestSupEnvelope:
+    """sup_envelope_ratios reads the computed levels 1..nt against the datum."""
+
+    def test_the_datum_level_is_not_a_ratio(self):
+        # the largest sup is the datum's: level 0 alone would read 1 and exp(-theta T)
+        grid = Grid.from_window(a=-1.0, b=1.0, n=6, window=(-0.5, 0.5), T=0.5, nt=4)
+        values = np.full((5, 6), 0.5)
+        values[0] = 1.0
+        theta = 0.8
+        step, growth = verify.sup_envelope_ratios(TimeField(values, grid), theta)
+        # the worst computed level is the first, one step of 1 - dt*theta from the datum
+        assert step == pytest.approx(0.5 * (1.0 - grid.dt * theta), rel=1e-15) and step < 1.0
+        assert growth == 0.5 / math.exp(theta * grid.T)
+        assert verify.sup_envelope_ratios(TimeField(np.zeros((5, 6)), grid), theta) == (0.0, 0.0)
+
+    def test_adjoint_in_march_order_is_the_per_level_envelope(self):
+        # q^n has taken nt - n + 1 steps from its terminal datum
+        rng = np.random.default_rng(5)
+        spec = small_benchmark().with_data(rng.standard_normal(31), rng.standard_normal(31))
+        grid = spec.grid
+        v = ControlField(rng.uniform(-1.0, 1.0, (grid.nt, grid.n_omega)), grid, -1.0, 1.0)
+        e = kkt_residual(spec, v)
+        terminal = e.rho.final - spec.rho_target
+        marched = TimeField(np.vstack([terminal, e.q.values[:0:-1]]), grid)
+        levels = np.arange(grid.nt, 0, -1)
+        bounds = (1.0 - grid.dt * v.theta) ** (-levels) * np.max(np.abs(terminal))
+        per_level = np.max(np.abs(e.q.values[1:]), axis=1) / bounds
+        assert verify.sup_envelope_ratios(marched, v.theta)[0] == np.max(per_level) < 1.0
 
 
 class TestHarness:
