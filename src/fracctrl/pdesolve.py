@@ -79,8 +79,8 @@ class TimeField:
         return linf_norm(self.values)
 
     def sup_l2(self) -> float:
-        """Largest discrete L2 norm of the snapshots 0..nt."""
-        return sqrt(self.grid.dx * float(np.max(np.sum(self.values**2, axis=1))))
+        """Largest discrete L2 norm of the implicit levels 1..nt."""
+        return sqrt(self.grid.dx * float(np.max(np.sum(self.values[1:] ** 2, axis=1))))
 
     def st_l2(self) -> float:
         """Space-time L2 over the implicit levels 1..nt (weight dx*dt)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .control import (
 )
 from .fracop import (
     Grid,
+    SolverError,
     assemble_operator,
     assemble_weights,
     l2_norm,
@@ -224,12 +226,128 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be at least 1, got {count}")
 
 
+# The order in which workers take the suites: longest first, so that the
+# optimality suite, the long pole, starts at once.
+_LONGEST_FIRST = ("optimality", "estimates", "lipschitz", "maximum-principle", "derivatives",
+                 "operator")
+
+
 def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:
+    """The checks of every suite in cfg.suites, in that order.
+
+    The suites run in fresh worker interpreters, at most one per usable CPU,
+    each taking the longest suite left when it is free.  They run here, one
+    after another, when there is one suite or one usable CPU, or when a
+    requested suite's module attribute is not this module's own function (a
+    tracing wrapper or a test's patch), which is then called here.  A
+    worker sees no other patch.  Every suite seeds its own generator from
+    cfg.seed and workers inherit the environment, BLAS thread count
+    included, so both ways give the same report bit for bit.
+    """
     cfg = SuiteConfig() if cfg is None else cfg
+    suites = {name: globals()[SUITES[name]] for name in cfg.suites}
+    workers = min(len(suites), _usable_cpus())
+    if workers < 2 or any(fn is not _OWN_SUITES[name] for name, fn in suites.items()):
+        reports = {name: fn(cfg) for name, fn in suites.items()}
+    else:
+        reports = _run_in_workers(cfg, workers)
     report = VerifyReport()
     for name in cfg.suites:
-        report.extend(globals()[SUITES[name]](cfg))
+        report.extend(reports[name])
     return report
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# A worker is `python -c` on this: it imports fracctrl from the source tree
+# the caller's fracctrl came from and serves suites until its stdin closes.
+_WORKER = "import sys; sys.path.insert(0, {root!r}); from fracctrl.verify import _serve; _serve()"
+
+
+def _run_in_workers(cfg: SuiteConfig, workers: int) -> dict[str, VerifyReport]:
+    """Each suite's report from `workers` worker processes.  A suite's error
+    is raised here as the worker raised it, and a worker that dies raises
+    SolverError; either way every worker is killed and reaped first."""
+    import pickle
+    import selectors
+    import subprocess
+    import sys
+
+    command = [sys.executable, "-c", _WORKER.format(
+        root=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))]
+    pending = [name for name in _LONGEST_FIRST if name in cfg.suites]
+    reports, procs = {}, []
+    ready = selectors.DefaultSelector()
+
+    def send(proc):
+        name = pending.pop(0)
+        try:
+            proc.stdin.write(pickle.dumps((name, cfg)))
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise _died(proc, name) from None
+        ready.register(proc.stdout, selectors.EVENT_READ, (proc, name))
+
+    try:
+        for _ in range(workers):
+            procs.append(subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            send(procs[-1])
+        while ready.get_map():
+            for key, _ in ready.select():
+                ready.unregister(key.fileobj)
+                proc, name = key.data
+                try:
+                    ok, payload = pickle.load(proc.stdout)
+                except (EOFError, pickle.UnpicklingError):
+                    raise _died(proc, name) from None
+                if not ok:
+                    raise payload
+                reports[name] = payload
+                if pending:
+                    send(proc)
+    finally:
+        ready.close()
+        for proc in procs:
+            proc.kill()
+            proc.communicate()  # closes the pipes and reaps the process
+    return reports
+
+
+def _died(proc, name: str) -> SolverError:
+    """The error for a worker that stopped answering; it is killed first,
+    which leaves the status of one that exited on its own as it was."""
+    proc.kill()
+    return SolverError(f"the worker running the {name} suite died "
+                       f"(exit status {proc.wait()})")
+
+
+def _serve() -> None:
+    """A worker's loop: read pickled (suite name, SuiteConfig) pairs from
+    stdin until it closes and answer each on stdout with a pickled
+    (True, report) or (False, the exception the suite raised)."""
+    import pickle
+    import signal
+    import sys
+
+    # an interrupt is the parent's to handle: it kills its workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    jobs, answers = sys.stdin.buffer, sys.stdout.buffer
+    while True:
+        try:
+            name, cfg = pickle.load(jobs)
+        except EOFError:
+            return
+        try:
+            answer = (True, _OWN_SUITES[name](cfg))
+        except Exception as exc:  # sent to the parent, which raises it
+            answer = (False, exc)
+        answers.write(pickle.dumps(answer))
+        answers.flush()
 
 
 def central_difference(spec: ProblemSpec, v: ControlField, w: np.ndarray, eps: float) -> float:
@@ -690,3 +808,8 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     report.add("fixed-point-converged", fp.kkt_final, upper=opts.kkt_tol,
                detail=f"status={fp.status} after {fp.iterations} iterations")
     return report
+
+
+# Each suite's own function, which a worker runs; run_all runs the suites in
+# process when a module attribute no longer holds it.
+_OWN_SUITES = {name: globals()[attr] for name, attr in SUITES.items()}

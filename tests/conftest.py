@@ -3,6 +3,7 @@ the suite draws the same examples.  Its remaining on-disk cache (constants
 read from the source) goes to a temporary directory removed at exit, so a
 run writes nothing to the working tree."""
 
+import subprocess
 import tempfile
 
 import pytest
@@ -32,3 +33,18 @@ def step_solves(monkeypatch):
 
     monkeypatch.setattr(StepSolver, "solve", counted)
     return levels
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started through subprocess.Popen while the test runs:
+    run_all's verify workers."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs

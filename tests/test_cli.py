@@ -27,6 +27,7 @@ from fracctrl.problem import benchmark_problem
 from fracctrl.verify import SuiteConfig
 
 from test_pdesolve import make_spec
+from test_verify import several_cpus
 
 TINY = """
 problem.n = 31
@@ -387,8 +388,40 @@ class TestCommands:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+class _ExitWhenLoaded:
+    """Unpickling it calls os._exit(7), so a process that reads it dies."""
+
+    def __reduce__(self):
+        return os._exit, (7,)
+
+
 class TestBadInput:
     """Every bad input ends with its exit code and a message, never a traceback."""
+
+    @several_cpus
+    def test_stability_error_in_a_worker(self, tmp_path, capfd, started):
+        # dt*theta = 0.75: the optimality suite's worker refuses the problem
+        config = tmp_path / "run.cfg"
+        config.write_text("problem.M = 3\nproblem.nt = 2\nverify.suites = operator,optimality\n")
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert "stability error" in err and "Traceback" not in err
+        assert len(started) == 2
+        assert all(proc.returncode is not None for proc in started)
+
+    @several_cpus
+    def test_a_worker_that_dies(self, tmp_path, capfd, monkeypatch, started):
+        # both suites ignore the problem; a worker dies as it reads it
+        monkeypatch.setattr(cli, "build_spec", lambda pcfg: _ExitWhenLoaded())
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "verify.suites = operator,derivatives\n")
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capfd.readouterr().err
+        assert code == 5
+        assert "internal error" in err and "died" in err and "Traceback" not in err
+        assert len(started) == 2
+        assert all(proc.returncode is not None for proc in started)
 
     @pytest.mark.parametrize("value", ["300", "390", "1000"])
     def test_control_outside_the_box_hits_the_stability_guard(self, tmp_path, capsys, value):

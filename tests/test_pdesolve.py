@@ -1,5 +1,7 @@
 """Time-stepping solvers: eigen-oracle identities, positivity, adjoint duality."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -486,6 +488,13 @@ class TestFieldContainers:
         grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
         with pytest.raises(ValueError):
             TimeField(np.zeros((4, 8)), grid)
+
+    def test_sup_l2_reads_the_computed_levels(self):
+        # level 0 is the datum, not a computed level: a trajectory whose
+        # largest snapshot is its datum reports its largest level 1..nt
+        grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
+        values = np.array([4.0, 1.0, 3.0, 2.0, 1.0])[:, None] * np.ones((5, 8))
+        assert TimeField(values, grid).sup_l2() == math.sqrt(grid.dx * 72.0)
 
     def test_control_shape_and_finite_check(self):
         grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)

@@ -3,6 +3,10 @@ determinism."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from fracctrl.pdesolve import (ControlField, TimeField, constant_control, solve_
 from fracctrl.problem import ProblemSpec, benchmark_problem, bump_profile
 from fracctrl.verify import (
     CLAIMS,
+    SUITES,
     CheckResult,
     SuiteConfig,
     VerifyReport,
@@ -207,6 +212,60 @@ class TestHarness:
         report = VerifyReport()
         with pytest.raises(KeyError):
             report.add("not-a-registered-check", 0.0, upper=0.0)
+
+
+# three quick suites: enough to keep two workers busy
+WORKER_SUITES = dict(suites=("operator", "maximum-principle", "derivatives"), mp_cases=6,
+                     derivative_cases=2)
+several_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                  reason="on one usable CPU run_all starts no workers")
+
+
+def _one_by_one(cfg):
+    """cfg's report from its suites' module functions, called here in order."""
+    report = VerifyReport()
+    for name in cfg.suites:
+        report.extend(getattr(verify, SUITES[name])(cfg))
+    return report
+
+
+class TestWorkers:
+    @several_cpus
+    def test_workers_give_the_in_process_checks(self, started):
+        cfg = SuiteConfig(**WORKER_SUITES)
+        assert run_all(cfg).checks == _one_by_one(cfg).checks
+        assert len(started) == 2
+        assert all(proc.returncode is not None for proc in started)
+
+    def test_a_replaced_suite_runs_in_process(self, monkeypatch, started):
+        # the benchmark's tracer wraps the suites through these attributes
+        cfg = SuiteConfig(**WORKER_SUITES)
+        expected = _one_by_one(cfg)
+        original = verify.run_operator_suite
+        callers = []
+
+        def wrapper(cfg):
+            callers.append(os.getpid())
+            return original(cfg)
+
+        monkeypatch.setattr(verify, "run_operator_suite", wrapper)
+        assert run_all(cfg).checks == expected.checks
+        assert callers == [os.getpid()]
+        assert started == []
+
+    @several_cpus
+    def test_a_caller_without_a_main_guard(self, tmp_path):
+        # workers run fracctrl's own code, never the caller's script again
+        script = tmp_path / "harness.py"
+        script.write_text("from fracctrl.verify import SuiteConfig, run_all\n"
+                          f"report = run_all(SuiteConfig(**{WORKER_SUITES!r}))\n"
+                          "print(report.to_text(), end='')\n")
+        src = Path(verify.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _one_by_one(SuiteConfig(**WORKER_SUITES)).to_text()
 
 
 def _check(value, lower=-math.inf, upper=math.inf):
