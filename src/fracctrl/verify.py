@@ -226,10 +226,11 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be at least 1, got {count}")
 
 
-# The order in which workers take the suites: longest first, so that the
-# optimality suite, the long pole, starts at once.
-_LONGEST_FIRST = ("optimality", "estimates", "lipschitz", "maximum-principle", "derivatives",
-                 "operator")
+# The order in which workers take the suites: longest first, as measured at
+# the default SuiteConfig counts, so that the optimality suite, the long
+# pole, starts at once.
+_LONGEST_FIRST = ("optimality", "estimates", "lipschitz", "maximum-principle", "operator",
+                  "derivatives")
 
 
 def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:
@@ -242,7 +243,8 @@ def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:
     tracing wrapper or a test's patch), which is then called here.  A
     worker sees no other patch.  Every suite seeds its own generator from
     cfg.seed and workers inherit the environment, BLAS thread count
-    included, so both ways give the same report bit for bit.
+    included, so both ways give the same report bit for bit.  A warning a
+    suite issues in a worker is issued again here.
     """
     cfg = SuiteConfig() if cfg is None else cfg
     suites = {name: globals()[SUITES[name]] for name in cfg.suites}
@@ -277,11 +279,12 @@ def _run_in_workers(cfg: SuiteConfig, workers: int) -> dict[str, VerifyReport]:
     import selectors
     import subprocess
     import sys
+    import warnings
 
     command = [sys.executable, "-c", _WORKER.format(
         root=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))]
     pending = [name for name in _LONGEST_FIRST if name in cfg.suites]
-    reports, procs = {}, []
+    reports, procs, registries = {}, [], {}
     ready = selectors.DefaultSelector()
 
     def send(proc):
@@ -302,9 +305,14 @@ def _run_in_workers(cfg: SuiteConfig, workers: int) -> dict[str, VerifyReport]:
                 ready.unregister(key.fileobj)
                 proc, name = key.data
                 try:
-                    ok, payload = pickle.load(proc.stdout)
+                    ok, payload, caught = pickle.load(proc.stdout)
                 except (EOFError, pickle.UnpicklingError):
                     raise _died(proc, name) from None
+                # a registry per file, as modules have in-process, so that
+                # the "default" filter shows each location once
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno,
+                                           registry=registries.setdefault(filename, {}))
                 if not ok:
                     raise payload
                 reports[name] = payload
@@ -329,10 +337,12 @@ def _died(proc, name: str) -> SolverError:
 def _serve() -> None:
     """A worker's loop: read pickled (suite name, SuiteConfig) pairs from
     stdin until it closes and answer each on stdout with a pickled
-    (True, report) or (False, the exception the suite raised)."""
+    (True, report) or (False, the exception the suite raised), followed by
+    every warning the suite issued as (message, category, filename, lineno)."""
     import pickle
     import signal
     import sys
+    import warnings
 
     # an interrupt is the parent's to handle: it kills its workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -342,11 +352,14 @@ def _serve() -> None:
             name, cfg = pickle.load(jobs)
         except EOFError:
             return
-        try:
-            answer = (True, _OWN_SUITES[name](cfg))
-        except Exception as exc:  # sent to the parent, which raises it
-            answer = (False, exc)
-        answers.write(pickle.dumps(answer))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                answer = (True, _OWN_SUITES[name](cfg))
+            except Exception as exc:  # sent to the parent, which raises it
+                answer = (False, exc)
+        caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+        answers.write(pickle.dumps((*answer, caught)))
         answers.flush()
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,31 @@ class TestWorkers:
         assert run_all(cfg).checks == expected.checks
         assert callers == [os.getpid()]
         assert started == []
+
+    @several_cpus
+    def test_a_warning_in_a_worker_reaches_the_caller(self, tmp_path, monkeypatch, started):
+        # every interpreter imports sitecustomize as it starts, so in the
+        # workers this one makes a helper of the operator suite warn
+        site = tmp_path / "sitecustomize.py"
+        site.write_text("import warnings\n"
+                        "from fracctrl import verify\n"
+                        "original = verify.normalization_constant\n"
+                        "def warned(s):\n"
+                        "    warnings.warn('normalization from a worker', RuntimeWarning)\n"
+                        "    return original(s)\n"
+                        "verify.normalization_constant = warned\n")
+        src = Path(verify.__file__).resolve().parents[1]
+        monkeypatch.setenv("PYTHONPATH", f"{tmp_path}{os.pathsep}{src}")
+        cfg = SuiteConfig(**WORKER_SUITES)
+        with pytest.warns(RuntimeWarning, match="normalization from a worker") as caught:
+            assert run_all(cfg).checks == _one_by_one(cfg).checks
+        assert [(w.filename, w.lineno) for w in caught] == [(str(site), 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="normalization from a worker"):
+                run_all(cfg)
+        assert len(started) == 4
+        assert all(proc.returncode is not None for proc in started)
 
     @several_cpus
     def test_a_caller_without_a_main_guard(self, tmp_path):
