@@ -282,11 +282,12 @@ def cmd_verify(args, cfg: RunConfig, spec: ProblemSpec) -> int:
                         suites=(args.suite,) if args.suite else cfg.verify.suites)
     out = Path(args.out)
     # an unwritable report stops the run before the harness, not after it
-    for name in ("report.txt", "report.csv"):
+    for name in ("report.txt", "report.csv", "timings.csv"):
         _write(out / name, _write_text, "")
     report = run_all(suite_cfg)
     _write(out / "report.txt", _write_text, report.to_text())
     _write(out / "report.csv", report.to_csv)
+    _write(out / "timings.csv", report.timings_to_csv)
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 4
 

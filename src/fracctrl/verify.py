@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +144,8 @@ def _csv_bound(bound: float) -> str:
 @dataclass
 class VerifyReport:
     checks: list[CheckResult] = field(default_factory=list)
+    # suite name -> (wall, CPU) seconds in the process that ran the suite
+    timings: dict = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -155,6 +158,7 @@ class VerifyReport:
 
     def extend(self, other: "VerifyReport") -> None:
         self.checks.extend(other.checks)
+        self.timings.update(other.timings)
 
     def to_text(self) -> str:
         lines = []
@@ -174,6 +178,13 @@ class VerifyReport:
             for c in self.checks:
                 writer.writerow([c.name, f"{c.value:.17g}", _csv_bound(c.lower),
                                  _csv_bound(c.upper), c.status])
+
+    def timings_to_csv(self, path) -> None:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["suite", "wall_s", "cpu_s"])
+            for name, (wall, cpu) in self.timings.items():
+                writer.writerow([name, f"{wall:.6f}", f"{cpu:.6f}"])
 
 
 # Suite name -> the module function that runs it.  run_all looks the function
@@ -243,19 +254,32 @@ def run_all(cfg: SuiteConfig | None = None) -> VerifyReport:
     tracing wrapper or a test's patch), which is then called here.  A
     worker sees no other patch.  Every suite seeds its own generator from
     cfg.seed and workers inherit the environment, BLAS thread count
-    included, so both ways give the same report bit for bit.  A warning a
-    suite issues in a worker is issued again here.
+    included, so both ways give the same report bit for bit.  Workers also
+    get OPENBLAS_THREAD_TIMEOUT=4 unless the caller set it: an idle OpenBLAS
+    helper thread then sleeps at once instead of spinning on a CPU another
+    worker needs.  It changes no thread count and so no value, and BLAS
+    libraries other than OpenBLAS ignore it.  A warning a suite issues in a
+    worker is issued again here.  The report's timings hold each suite's
+    wall and CPU seconds in the process that ran it.
     """
     cfg = SuiteConfig() if cfg is None else cfg
     suites = {name: globals()[SUITES[name]] for name in cfg.suites}
     workers = min(len(suites), _usable_cpus())
     if workers < 2 or any(fn is not _OWN_SUITES[name] for name, fn in suites.items()):
-        reports = {name: fn(cfg) for name, fn in suites.items()}
+        reports = {name: _run_timed(name, fn, cfg) for name, fn in suites.items()}
     else:
         reports = _run_in_workers(cfg, workers)
     report = VerifyReport()
     for name in cfg.suites:
         report.extend(reports[name])
+    return report
+
+
+def _run_timed(name: str, fn, cfg: SuiteConfig) -> VerifyReport:
+    """fn(cfg), timed as suite `name` in this process."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    report = fn(cfg)
+    report.timings[name] = (time.perf_counter() - wall, time.process_time() - cpu)
     return report
 
 
@@ -269,12 +293,17 @@ def _usable_cpus() -> int:
 # A worker is `python -c` on this: it imports fracctrl from the source tree
 # the caller's fracctrl came from and serves suites until its stdin closes.
 _WORKER = "import sys; sys.path.insert(0, {root!r}); from fracctrl.verify import _serve; _serve()"
+# Added to the environment a worker inherits unless the caller set it (see
+# run_all): an idle OpenBLAS helper thread, of numpy's pool or scipy's,
+# sleeps after 2^4 cycles instead of spinning for the default 2^28.
+_WORKER_ENV = {"OPENBLAS_THREAD_TIMEOUT": "4"}
 
 
 def _run_in_workers(cfg: SuiteConfig, workers: int) -> dict[str, VerifyReport]:
     """Each suite's report from `workers` worker processes.  A suite's error
-    is raised here as the worker raised it, and a worker that dies raises
-    SolverError; either way every worker is killed and reaped first."""
+    is raised here as the worker raised it, and a worker that cannot start
+    or that dies raises SolverError; either way every worker is killed and
+    reaped first."""
     import pickle
     import selectors
     import subprocess
@@ -284,6 +313,7 @@ def _run_in_workers(cfg: SuiteConfig, workers: int) -> dict[str, VerifyReport]:
     command = [sys.executable, "-c", _WORKER.format(
         root=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))]
     pending = [name for name in _LONGEST_FIRST if name in cfg.suites]
+    env = {**_WORKER_ENV, **os.environ}
     reports, procs, registries = {}, [], {}
     ready = selectors.DefaultSelector()
 
@@ -298,7 +328,12 @@ def _run_in_workers(cfg: SuiteConfig, workers: int) -> dict[str, VerifyReport]:
 
     try:
         for _ in range(workers):
-            procs.append(subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            try:
+                procs.append(subprocess.Popen(command, stdin=subprocess.PIPE,
+                                              stdout=subprocess.PIPE, env=env))
+            except OSError as exc:
+                raise SolverError(f"could not start a worker for the {pending[0]} "
+                                  f"suite: {exc}") from exc
             send(procs[-1])
         while ready.get_map():
             for key, _ in ready.select():
@@ -337,8 +372,9 @@ def _died(proc, name: str) -> SolverError:
 def _serve() -> None:
     """A worker's loop: read pickled (suite name, SuiteConfig) pairs from
     stdin until it closes and answer each on stdout with a pickled
-    (True, report) or (False, the exception the suite raised), followed by
-    every warning the suite issued as (message, category, filename, lineno)."""
+    (True, report with its timing) or (False, the exception the suite
+    raised), followed by every warning the suite issued as (message,
+    category, filename, lineno)."""
     import pickle
     import signal
     import sys
@@ -355,7 +391,7 @@ def _serve() -> None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                answer = (True, _OWN_SUITES[name](cfg))
+                answer = (True, _run_timed(name, _OWN_SUITES[name], cfg))
             except Exception as exc:  # sent to the parent, which raises it
                 answer = (False, exc)
         caught = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]

@@ -38,12 +38,14 @@ def step_solves(monkeypatch):
 @pytest.fixture
 def started(monkeypatch):
     """Every process started through subprocess.Popen while the test runs:
-    run_all's verify workers."""
+    run_all's verify workers, each with the environment it was given as
+    `given_env` (None: the caller's own)."""
     procs = []
 
     class Recorded(subprocess.Popen):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.given_env = kwargs.get("env")
             procs.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)

@@ -1,5 +1,6 @@
 """Config parsing, command dispatch, exit codes, artifact layout."""
 
+import errno
 import math
 import os
 import subprocess
@@ -356,6 +357,17 @@ class TestCommands:
         assert "overall: pass" in text
         assert (out / "report.csv").exists()
 
+    def test_verify_writes_the_timing_of_each_suite(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "verify.suites = derivatives,operator\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "timings.csv").read_text().splitlines()]
+        assert rows[0] == ["suite", "wall_s", "cpu_s"]
+        assert [row[0] for row in rows[1:]] == ["derivatives", "operator"]
+        seconds = [float(value) for row in rows[1:] for value in row[1:]]
+        assert len(seconds) == 4 and all(math.isfinite(s) and s >= 0 for s in seconds)
+
     def test_verify_reports_byte_identical_under_seed(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(TINY)
@@ -422,6 +434,26 @@ class TestBadInput:
         assert "internal error" in err and "died" in err and "Traceback" not in err
         assert len(started) == 2
         assert all(proc.returncode is not None for proc in started)
+
+    @several_cpus
+    def test_a_worker_that_cannot_start(self, tmp_path, capfd, monkeypatch, started):
+        # the process table is full when the second worker starts
+        class TableFull(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                if started:
+                    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", TableFull)
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + "verify.suites = operator,derivatives\n")
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capfd.readouterr().err
+        assert code == 5
+        assert ("internal error: could not start a worker for the derivatives suite: "
+                f"[Errno {errno.EAGAIN}] Resource temporarily unavailable") in err
+        assert "Traceback" not in err
+        assert len(started) == 1 and started[0].returncode is not None
 
     @pytest.mark.parametrize("value", ["300", "390", "1000"])
     def test_control_outside_the_box_hits_the_stability_guard(self, tmp_path, capsys, value):
@@ -585,9 +617,9 @@ class TestBadInput:
         assert main(["optimize", "--config", str(config), "--out", str(out)]) == 2
         assert f"cannot write '{out / 'u.csv'}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["report.txt", "report.csv"])
+    @pytest.mark.parametrize("name", ["report.txt", "report.csv", "timings.csv"])
     def test_verify_report_not_writable(self, tmp_path, capsys, monkeypatch, name):
-        # both report files are claimed before the harness, so no suite runs
+        # every output file is claimed before the harness, so no suite runs
         harness_runs = []
         monkeypatch.setattr(cli, "run_all", lambda cfg: harness_runs.append(cfg))
         out = tmp_path / "out"

@@ -230,12 +230,39 @@ def _one_by_one(cfg):
     return report
 
 
+def _timed_in_order(report, cfg):
+    """Whether the report times cfg's suites, in order, in finite
+    non-negative seconds."""
+    return (list(report.timings) == list(cfg.suites)
+            and all(math.isfinite(s) and s >= 0 for t in report.timings.values() for s in t))
+
+
 class TestWorkers:
     @several_cpus
     def test_workers_give_the_in_process_checks(self, started):
-        cfg = SuiteConfig(**WORKER_SUITES)
-        assert run_all(cfg).checks == _one_by_one(cfg).checks
-        assert len(started) == 2
+        # at 4 pairs the n=129 Lipschitz quotients differ between one and two
+        # BLAS threads, so the second run fails if the workers' thread count
+        # changes
+        for counts in (WORKER_SUITES, dict(suites=("lipschitz", "derivatives"),
+                                           lipschitz_pairs=4, derivative_cases=2)):
+            cfg = SuiteConfig(**counts)
+            report = run_all(cfg)
+            assert report.checks == _one_by_one(cfg).checks
+            assert _timed_in_order(report, cfg)
+        assert len(started) == 4
+        assert all(proc.returncode is not None for proc in started)
+
+    @several_cpus
+    def test_workers_get_a_short_openblas_thread_timeout(self, monkeypatch, started):
+        cfg = SuiteConfig(suites=("operator", "derivatives"), derivative_cases=2)
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        run_all(cfg)
+        assert [proc.given_env for proc in started] == \
+            [{**os.environ, "OPENBLAS_THREAD_TIMEOUT": "4"}] * 2
+        # a value the caller set is passed on as it is
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "30")
+        run_all(cfg)
+        assert [proc.given_env for proc in started[2:]] == [dict(os.environ)] * 2
         assert all(proc.returncode is not None for proc in started)
 
     def test_a_replaced_suite_runs_in_process(self, monkeypatch, started):
@@ -250,7 +277,9 @@ class TestWorkers:
             return original(cfg)
 
         monkeypatch.setattr(verify, "run_operator_suite", wrapper)
-        assert run_all(cfg).checks == expected.checks
+        report = run_all(cfg)
+        assert report.checks == expected.checks
+        assert _timed_in_order(report, cfg)
         assert callers == [os.getpid()]
         assert started == []
 
