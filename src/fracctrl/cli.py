@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import (check_ssc_constant, cost_from_state, gradient, kkt_residual,
-                       ssc_smallness, uniqueness_condition)
+from .control import cost_from_state, kkt_residual, ssc_smallness, uniqueness_condition
 from .fracop import l2_norm
 from .optimize import OptimOptions, fixed_point, projected_gradient
 from .pdesolve import (
@@ -48,16 +47,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class OptimizerConfig(OptimOptions):
-    """The library's optimizer options plus the choices only the CLI makes."""
+    """The library's optimizer options plus the driver, a choice only the CLI makes."""
 
     method: str = "pg"  # pg | fp
-    c_user: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
         if self.method not in ("pg", "fp"):
             raise ValueError(f"method must be pg or fp, got '{self.method}'")
-        check_ssc_constant(self.c_user)
 
 
 @dataclass
@@ -68,15 +65,13 @@ class RunConfig:
 
 
 _SECTIONS = {"problem": ProblemConfig, "optimizer": OptimizerConfig, "verify": SuiteConfig}
-# SuiteConfig fields the CLI fills in itself: the problem comes from the
-# problem block, the constant from optimizer.c_user.
-_NOT_KEYS = {"verify": {"spec", "c_user"}}
 
 
 def _keys(section: str) -> list[str]:
-    """Config keys of a section in file order; method leads the optimizer block."""
-    names = [f.name for f in fields(_SECTIONS[section])
-             if f.name not in _NOT_KEYS.get(section, ())]
+    """Config keys of a section in file order; method leads the optimizer
+    block.  SuiteConfig.spec is no key: the CLI builds it from the problem
+    block."""
+    names = [f.name for f in fields(_SECTIONS[section]) if f.name != "spec"]
     return sorted(names, key=lambda name: name != "method")
 
 
@@ -145,9 +140,8 @@ def build_spec(pcfg: ProblemConfig) -> ProblemSpec:
 
 
 def _load_config(args) -> RunConfig:
-    """The config file's settings, or the defaults, with --seed as the seed
-    of the block the command reads it from: verify's for verify, the
-    optimizer's for gradcheck."""
+    """The config file's settings, or the defaults, with --seed as
+    verify.seed, the seed of verify and gradcheck."""
     if args.config is None:
         cfg = RunConfig()
     else:
@@ -158,9 +152,8 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(text)
     if getattr(args, "seed", None) is None:
         return cfg
-    section = "verify" if args.command == "verify" else "optimizer"
     try:
-        return replace(cfg, **{section: replace(getattr(cfg, section), seed=args.seed)})
+        return replace(cfg, verify=replace(cfg.verify, seed=args.seed))
     except ValueError as exc:
         raise ConfigError(f"--seed: {exc}") from exc
 
@@ -264,21 +257,20 @@ def cmd_optimize(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     _write(out / "u.csv", export_control_csv, final.u)
     _write(out / "rho.csv", export_trajectory_csv, final.rho)
     _write(out / "q.csv", export_trajectory_csv, final.q)
-    c_user = cfg.optimizer.c_user
     uniq = uniqueness_condition(spec)
-    ssc = ssc_smallness(spec, c_user)
+    ssc = ssc_smallness(spec)
     _write(out / "summary.txt", _write_kv, [
         ("status", result.status), ("iterations", result.iterations),
         ("cost", result.j_final), ("kkt_residual", result.kkt_final),
         ("control_l2", spec.control_norm(final.u.values)), ("control_sup", final.u.sup),
         ("uniqueness_lhs", uniq.lhs), ("uniqueness_margin", uniq.margin),
-        ("uniqueness_holds", uniq.holds), ("ssc_constant", c_user),
+        ("uniqueness_holds", uniq.holds), ("ssc_constant", spec.c_user),
         ("ssc_lhs", ssc.lhs), ("ssc_holds", ssc.holds)])
     return 0 if result.status == "converged" else 4
 
 
 def cmd_verify(args, cfg: RunConfig, spec: ProblemSpec) -> int:
-    suite_cfg = replace(cfg.verify, spec=spec, c_user=cfg.optimizer.c_user,
+    suite_cfg = replace(cfg.verify, spec=spec,
                         suites=(args.suite,) if args.suite else cfg.verify.suites)
     out = Path(args.out)
     # an unwritable report stops the run before the harness, not after it
@@ -293,10 +285,10 @@ def cmd_verify(args, cfg: RunConfig, spec: ProblemSpec) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig, spec: ProblemSpec) -> int:
-    rng = np.random.default_rng(cfg.optimizer.seed)
+    rng = np.random.default_rng(cfg.verify.seed)
     v = random_admissible(spec, rng, 0.7)
     w = rng.standard_normal(v.values.shape)
-    g, _, _ = gradient(spec, v)
+    g = kkt_residual(spec, v).g
     fd = central_difference(spec, v, w, 1e-5)
     rel = directional_error(spec, g, w, fd)
     sys.stdout.write(f"directional = {spec.control_dot(g, w):.17g}\n"

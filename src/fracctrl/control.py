@@ -189,20 +189,12 @@ def uniqueness_condition(spec: ProblemSpec) -> ConditionReport:
     return ConditionReport(lhs=float(lhs), bound=spec.alpha, holds=bool(lhs < spec.alpha))
 
 
-def check_ssc_constant(c_user: float) -> None:
-    if not 0.0 <= c_user < np.inf:
-        raise ValueError(f"c_user must be finite and nonnegative, got {c_user}")
-
-
-def ssc_smallness(spec: ProblemSpec, c_user: float = 0.0) -> ConditionReport:
+def ssc_smallness(spec: ProblemSpec) -> ConditionReport:
     """Sufficient-condition smallness test:
-    (6 + C theta) e^(2 theta T) (||rho0||_inf + ||target||_inf) ||rho0||_inf <= alpha/2.
-
-    The constant C depends on the domain and order in a way that is not
-    computable here; the caller supplies it (default 0, the most optimistic).
+    (6 + C theta) e^(2 theta T) (||rho0||_inf + ||target||_inf) ||rho0||_inf <= alpha/2,
+    with C the problem's constant spec.c_user.
     """
-    check_ssc_constant(c_user)
-    lhs = (6.0 + c_user * spec.theta) * np.exp(2.0 * spec.theta * spec.grid.T) * (
+    lhs = (6.0 + spec.c_user * spec.theta) * np.exp(2.0 * spec.theta * spec.grid.T) * (
         spec.rho0_sup + spec.target_sup) * spec.rho0_sup
     bound = 0.5 * spec.alpha
     return ConditionReport(lhs=float(lhs), bound=bound, holds=bool(lhs <= bound))

@@ -186,8 +186,7 @@ def l2_norm(dx: float, u: np.ndarray) -> float:
 
 
 def linf_norm(u: np.ndarray) -> float:
-    u = np.asarray(u)
-    return float(np.max(np.abs(u))) if u.size else 0.0
+    return float(np.max(np.abs(u)))
 
 
 def _rows(op: FractionalOperator, u) -> np.ndarray:

@@ -29,7 +29,9 @@ class ProblemSpec:
     s is the fractional order in (0, 1) and alpha > 0 the finite
     regularization weight; vmin/vmax are the finite box bounds on the
     control (vmax > vmin); rho0 and rho_target are values at the interior
-    nodes.
+    nodes.  c_user >= 0 is the finite constant C of the sufficient-condition
+    smallness test; it depends on the domain and order in a way not
+    computable here (default 0, the most optimistic).
 
     Derived state that no argument sets: rho0_sup and target_sup, the
     sampled sups the smallness conditions read, are computed on
@@ -45,6 +47,7 @@ class ProblemSpec:
     vmax: float
     rho0: np.ndarray
     rho_target: np.ndarray
+    c_user: float = 0.0
     rho0_sup: float = field(init=False)
     target_sup: float = field(init=False)
     _op: FractionalOperator | None = field(default=None, init=False, repr=False, compare=False)
@@ -58,6 +61,8 @@ class ProblemSpec:
         if not -np.inf < self.vmin < self.vmax < np.inf:
             raise ValueError(f"control box needs finite bounds with vmax > vmin, "
                              f"got [{self.vmin}, {self.vmax}]")
+        if not 0.0 <= self.c_user < np.inf:
+            raise ValueError(f"c_user must be finite and nonnegative, got {self.c_user}")
         self.rho0 = np.asarray(self.rho0, dtype=float)
         self.rho_target = np.asarray(self.rho_target, dtype=float)
         for name, arr in (("rho0", self.rho0), ("rho_target", self.rho_target)):
@@ -81,7 +86,7 @@ class ProblemSpec:
 
     def with_data(self, rho0, rho_target) -> ProblemSpec:
         """This instance with new initial and target data: the same grid,
-        order, weight and box, and the same operator object."""
+        order, weight, box and constant C, and the same operator object."""
         spec = replace(self, rho0=rho0, rho_target=rho_target)
         spec._op = self.operator
         return spec
@@ -91,7 +96,7 @@ class ProblemSpec:
         return self.grid.dx * self.grid.dt * float(np.sum(a * b))
 
     def control_norm(self, a) -> float:
-        return float(np.sqrt(max(self.control_dot(a, a), 0.0)))
+        return float(np.sqrt(self.control_dot(a, a)))
 
 
 def bump_profile(grid: Grid, amplitude: float) -> np.ndarray:
@@ -165,8 +170,9 @@ def _profile(text: str, spec: ProblemSpec) -> np.ndarray:
 class ProblemConfig:
     """An instance as the config's problem block states it: domain (a, b)
     with n interior nodes, order s, horizon T with nt steps, control window
-    (omega_a, omega_b), weight alpha, box [m, M], and the initial and target
-    data as profiles zero | bump(amp) | eigen(k) | csv(path).  The defaults
+    (omega_a, omega_b), weight alpha, box [m, M], the initial and target
+    data as profiles zero | bump(amp) | eigen(k) | csv(path), and the
+    constant C of the sufficient-condition smallness test.  The defaults
     are the reference instance; build() raises ValueError for a value that
     makes no instance."""
 
@@ -183,13 +189,15 @@ class ProblemConfig:
     M: float = 1.0
     rho0: str = "bump(0.1)"
     rhod: str = "bump(0.05)"
+    c_user: float = 0.0
 
     def build(self) -> ProblemSpec:
         """The instance; an eigen profile reads its operator, assembled once."""
         grid = Grid.from_window(a=self.a, b=self.b, n=self.n,
                                 window=(self.omega_a, self.omega_b), T=self.T, nt=self.nt)
         spec = ProblemSpec(grid=grid, s=self.s, alpha=self.alpha, vmin=self.m, vmax=self.M,
-                           rho0=np.zeros(grid.n), rho_target=np.zeros(grid.n))
+                           rho0=np.zeros(grid.n), rho_target=np.zeros(grid.n),
+                           c_user=self.c_user)
         return spec.with_data(_profile(self.rho0, spec), _profile(self.rhod, spec))
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .control import (
     check_coercivity,
-    check_ssc_constant,
     cost,
     hessian_action,
     kkt_residual,
@@ -214,7 +213,6 @@ class SuiteConfig:
     coercivity_samples: int = 64
     growth_samples: int = 50
     starts: int = 8
-    c_user: float = 0.0
     spec: ProblemSpec | None = None
 
     def __post_init__(self):
@@ -229,7 +227,6 @@ class SuiteConfig:
         repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
         if repeated:
             raise ValueError(f"suites names {', '.join(repeated)} more than once")
-        check_ssc_constant(self.c_user)
         for name in ("mp_cases", "estimate_cases", "derivative_cases", "lipschitz_pairs",
                      "vi_samples", "coercivity_samples", "growth_samples", "starts"):
             count = getattr(self, name)
@@ -801,10 +798,10 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
                detail=f"{cfg.vi_samples} random admissible controls")
 
     uniq = uniqueness_condition(spec)
-    ssc = ssc_smallness(spec, cfg.c_user)
+    ssc = ssc_smallness(spec)
     report.add("condition-smallness", uniq.margin,
                detail=f"uniqueness lhs={uniq.lhs:.6g} holds={uniq.holds}; "
-                      f"sufficiency lhs={ssc.lhs:.6g} holds={ssc.holds} at C={cfg.c_user:g}")
+                      f"sufficiency lhs={ssc.lhs:.6g} holds={ssc.holds} at C={spec.c_user:g}")
     # a failed smallness condition leaves sufficiency and uniqueness report-only
     observed = None if uniq.holds else "smallness condition fails; observational only"
 
@@ -838,8 +835,7 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     report.add("quadratic-growth", growth_min, lower=-1e-10,
                detail=f"fitted growth coefficient {beta_hat:.6g} over {cfg.growth_samples} samples")
 
-    multi = multistart_uniqueness(spec, cfg.starts,
-                                  OptimOptions(kkt_tol=opts.kkt_tol, seed=cfg.seed + 4))
+    multi = multistart_uniqueness(spec, cfg.starts, opts, cfg.seed + 4)
     multi_detail = observed or f"{cfg.starts} starts"
     report.add("local-uniqueness", multi.max_pairwise,
                upper=math.inf if observed else multi.tolerance, detail=multi_detail)
@@ -850,7 +846,7 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     # must land on the same control
     fp_start = constant_control(spec.grid, spec.vmin + 0.75 * (spec.vmax - spec.vmin),
                                 spec.vmin, spec.vmax)
-    fp = fixed_point(spec, fp_start, OptimOptions(kkt_tol=opts.kkt_tol))
+    fp = fixed_point(spec, fp_start, opts)
     agree = spec.control_norm(fp.final.u.values - optimum.u.values)
     report.add("projection-consistency", agree, upper=1e-6,
                detail="L2 distance between projected-gradient and fixed-point controls")

@@ -255,7 +255,7 @@ def test_criterion_10_second_order_conditions():
 
 def test_criterion_11_local_uniqueness():
     spec = benchmark_problem()
-    rep = multistart_uniqueness(spec, 8, OptimOptions(kkt_tol=1e-8, seed=112))
+    rep = multistart_uniqueness(spec, 8, OptimOptions(kkt_tol=1e-8), seed=112)
     ok = (uniqueness_condition(spec).holds
           and all(r.status == "converged" for r in rep.results)
           and rep.max_pairwise <= rep.tolerance)

@@ -24,7 +24,7 @@ from fracctrl.cli import (
 from fracctrl.control import ssc_smallness
 from fracctrl.fracop import assemble_operator
 from fracctrl.pdesolve import constant_control, export_control_csv
-from fracctrl.problem import benchmark_problem
+from fracctrl.problem import ProblemConfig, benchmark_problem
 from fracctrl.verify import SuiteConfig
 
 from test_pdesolve import make_spec
@@ -59,11 +59,10 @@ problem.m = -1
 problem.M = 1
 problem.rho0 = bump(0.1)
 problem.rhod = bump(0.05)
+problem.c_user = 0
 optimizer.method = pg
 optimizer.max_iters = 200
 optimizer.kkt_tol = 1e-08
-optimizer.seed = 0
-optimizer.c_user = 0
 verify.seed = 0
 verify.suites = operator,maximum-principle,estimates,derivatives,lipschitz,optimality
 verify.mp_cases = 100
@@ -200,13 +199,16 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     @pytest.mark.parametrize("build", [
-        lambda c: SuiteConfig(c_user=c, suites=("operator", "optimality")),
-        lambda c: OptimizerConfig(c_user=c),
-        lambda c: ssc_smallness(make_spec(), c),
+        lambda c: SuiteConfig(spec=replace(make_spec(), c_user=c)),
+        lambda c: ProblemConfig(n=15, nt=10, c_user=c).build(),
+        lambda c: ssc_smallness(make_spec(c_user=c)),
     ], ids=["suite", "optimizer", "ssc"])
     def test_one_rule_for_the_ssc_constant(self, build, value):
-        # both config blocks refuse the constant when built, before any suite
-        # runs, by the rule and message of ssc_smallness itself
+        # the readers of the constant, the optimality suite, optimize's
+        # summary and ssc_smallness, all take it from their problem, so a
+        # bad one never reaches them: ProblemSpec refuses it with one
+        # message whether it is replaced, built from a problem block or
+        # passed to the constructor
         with pytest.raises(ValueError) as exc:
             build(value)
         assert str(exc.value) == f"c_user must be finite and nonnegative, got {value}"
@@ -223,6 +225,16 @@ class TestConfigParsing:
         for key in ("verify.spec", "verify.c_user", "optimizer.max_backtracks"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(f"{key} = 1\n")
+
+    @pytest.mark.parametrize("key", ["optimizer.seed", "optimizer.c_user"])
+    def test_settings_owned_elsewhere_are_not_optimizer_keys(self, tmp_path, capsys, key):
+        # the constant is problem.c_user and gradcheck's seed is verify.seed
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            parse_config(f"{key} = 1\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = 1\n")
+        assert main(["gradcheck", "--config", str(config)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -533,10 +545,10 @@ class TestBadInput:
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["optimize", "verify"])
     def test_bad_ssc_constant(self, tmp_path, capsys, value, command):
-        # optimize writes c_user to its summary and verify hands it to the
-        # optimality suite; either must refuse it before writing a file
+        # optimize writes c_user to its summary and verify's optimality suite
+        # reads it; either must refuse it before writing a file
         config = tmp_path / "run.cfg"
-        config.write_text(TINY + f"optimizer.c_user = {value}\n")
+        config.write_text(TINY + f"problem.c_user = {value}\n")
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
         if command == "verify":
             argv += ["--suite", "optimality"]
@@ -548,7 +560,7 @@ class TestBadInput:
         (["verify", "--suite", "derivatives", "--seed", "-1"], ""),
         (["verify", "--suite", "operator"], "verify.seed = -1"),
         (["gradcheck", "--seed", "-2"], ""),
-        (["gradcheck"], "optimizer.seed = -3"),
+        (["gradcheck"], "verify.seed = -3"),
     ], ids=["verify-flag", "verify-key", "gradcheck-flag", "gradcheck-key"])
     def test_negative_seed(self, tmp_path, capsys, argv, line):
         config = tmp_path / "run.cfg"

@@ -23,7 +23,7 @@ from fracctrl.control import (
 )
 from fracctrl.fracop import Grid, InvalidOrderError
 from fracctrl.pdesolve import ControlField, StepSolver, constant_control, solve_linearized
-from fracctrl.problem import ProblemSpec, benchmark_problem, bump_profile
+from fracctrl.problem import ProblemConfig, ProblemSpec, benchmark_problem, bump_profile
 
 from test_pdesolve import (
     make_spec,
@@ -62,6 +62,12 @@ class TestProblemSpec:
         for s in (0.0, 1.0, 1.5, np.nan):
             with pytest.raises(InvalidOrderError):
                 ProblemSpec(**{**ok, "s": s})
+
+    def test_with_data_and_replace_keep_the_ssc_constant(self):
+        spec = ProblemConfig(n=15, nt=10, c_user=2.5).build()
+        assert spec.c_user == 2.5
+        assert spec.with_data(spec.rho_target, spec.rho0).c_user == 2.5
+        assert replace(spec, alpha=2.0).c_user == 2.5
 
     def test_theta_and_sup_defaults(self):
         spec = make_spec(rho0=np.full(18, -0.25), target=np.full(18, 0.5))
@@ -562,28 +568,29 @@ class TestConditions:
 
     def test_ssc_zero_data(self):
         spec = make_spec()
-        rep = ssc_smallness(spec, 0.0)
+        rep = ssc_smallness(spec)
         assert rep.lhs == 0.0
         assert rep.holds
 
     def test_ssc_scalar_values(self):
         spec = make_spec(rho0=np.full(18, 0.05), target=np.full(18, 0.05))
-        rep = ssc_smallness(spec, 0.0)
+        rep = ssc_smallness(spec)
         assert rep.lhs == pytest.approx(6 * math.e * 0.1 * 0.05, rel=1e-12)
         assert rep.lhs == pytest.approx(0.081548, abs=5e-7)
         assert rep.holds
-        rep10 = ssc_smallness(spec, 10.0)
+        rep10 = ssc_smallness(replace(spec, c_user=10.0))
         assert rep10.lhs == pytest.approx(16 * math.e * 0.1 * 0.05, rel=1e-12)
         assert rep10.lhs == pytest.approx(0.21746, abs=5e-6)
         assert rep10.holds
 
     def test_ssc_rejects_negative_constant(self):
+        # the constant is the problem's, so the problem refuses it
         with pytest.raises(ValueError):
-            ssc_smallness(make_spec(), -1.0)
+            replace(make_spec(), c_user=-1.0)
 
     def test_ssc_rejects_nan_constant(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            ssc_smallness(make_spec(), math.nan)
+            replace(make_spec(), c_user=math.nan)
 
 
 class TestCoercivity:

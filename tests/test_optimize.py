@@ -57,10 +57,11 @@ def solvers(monkeypatch):
 
 class TestOptions:
     def test_defaults_and_step_scaling(self, trial_points):
-        # three settings; the first trial step sigma0 is no setting but
-        # 1/alpha, the natural quadratic scaling
-        assert [f.name for f in fields(OptimOptions)] == ["max_iters", "kkt_tol", "seed"]
-        assert OptimOptions() == OptimOptions(max_iters=200, kkt_tol=1e-8, seed=0)
+        # two settings; the first trial step sigma0 is no setting but
+        # 1/alpha, the natural quadratic scaling, and the one driver that
+        # draws random numbers, multistart, takes its seed as an argument
+        assert [f.name for f in fields(OptimOptions)] == ["max_iters", "kkt_tol"]
+        assert OptimOptions() == OptimOptions(max_iters=200, kkt_tol=1e-8)
         spec = make_spec(alpha=4.0)
         e = kkt_residual(spec, random_control(spec, np.random.default_rng(1)))
         _armijo_step(spec, e)
@@ -69,7 +70,7 @@ class TestOptions:
     @pytest.mark.parametrize("bad", [
         dict(kkt_tol=0.0), dict(kkt_tol=-0.0), dict(kkt_tol=-1e-8),
         dict(kkt_tol=float("nan")), dict(kkt_tol=-float("inf")),
-        dict(max_iters=-1), dict(max_iters=-200), dict(seed=-1), dict(seed=-7),
+        dict(max_iters=-1), dict(max_iters=-200),
     ])
     def test_invalid_options_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -255,13 +256,13 @@ class TestMultistart:
     def test_convex_case_all_reach_zero(self):
         rng = np.random.default_rng(42)
         spec = make_spec(target=rng.standard_normal(18))
-        report = multistart_uniqueness(spec, 5, OptimOptions(kkt_tol=1e-10, seed=3))
+        report = multistart_uniqueness(spec, 5, OptimOptions(kkt_tol=1e-10), seed=3)
         assert all(r.status == "converged" for r in report.results)
         assert report.max_pairwise <= 1e-8
 
     def test_small_data_assertion_mode(self):
         spec = small_benchmark()
-        report = multistart_uniqueness(spec, 4, OptimOptions(kkt_tol=1e-9, seed=4))
+        report = multistart_uniqueness(spec, 4, OptimOptions(kkt_tol=1e-9), seed=4)
         assert uniqueness_condition(spec).holds
         assert all(r.status == "converged" for r in report.results)
         assert report.max_pairwise <= report.tolerance
@@ -269,17 +270,26 @@ class TestMultistart:
     def test_large_data_observational(self):
         rng = np.random.default_rng(43)
         spec = make_spec(T=2.0, nt=120, rho0=np.full(18, 1.0), target=np.full(18, 1.0))
-        report = multistart_uniqueness(spec, 2, OptimOptions(max_iters=5, seed=5))
+        report = multistart_uniqueness(spec, 2, OptimOptions(max_iters=5), seed=5)
         assert not uniqueness_condition(spec).holds
         assert len(report.results) == 2
 
     def test_deterministic_under_seed(self):
         spec = small_benchmark()
-        a = multistart_uniqueness(spec, 3, OptimOptions(seed=9))
-        b = multistart_uniqueness(spec, 3, OptimOptions(seed=9))
+        a = multistart_uniqueness(spec, 3, OptimOptions(), seed=9)
+        b = multistart_uniqueness(spec, 3, OptimOptions(), seed=9)
         assert a.max_pairwise == b.max_pairwise
         for ra, rb in zip(a.results, b.results):
             assert np.array_equal(ra.final.u.values, rb.final.u.values)
+
+    def test_another_seed_draws_other_starts(self):
+        # with no update allowed each result is its start, so the seed
+        # argument is what draws them
+        spec = small_benchmark()
+        a, b = (multistart_uniqueness(spec, 2, OptimOptions(max_iters=0), seed)
+                for seed in (9, 10))
+        for ra, rb in zip(a.results, b.results):
+            assert not np.array_equal(ra.final.u.values, rb.final.u.values)
 
 
 def test_variational_inequality_at_tight_residual():

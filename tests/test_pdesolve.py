@@ -28,14 +28,14 @@ from fracctrl.verify import _realize_blocks
 
 
 def make_spec(n=18, nt=30, window=(-0.6, 0.6), T=0.5, s=0.5, alpha=1.0,
-              box=(-1.0, 1.0), rho0=None, target=None):
+              box=(-1.0, 1.0), rho0=None, target=None, c_user=0.0):
     grid = Grid.from_window(a=-1.0, b=1.0, n=n, window=window, T=T, nt=nt)
     if rho0 is None:
         rho0 = np.zeros(n)
     if target is None:
         target = np.zeros(n)
     return ProblemSpec(grid=grid, s=s, alpha=alpha, vmin=box[0], vmax=box[1],
-                       rho0=rho0, rho_target=target)
+                       rho0=rho0, rho_target=target, c_user=c_user)
 
 
 def random_control(spec, rng, scale=1.0):

@@ -165,11 +165,11 @@ def run_configs(draw):
     problem = ProblemConfig(a=a, b=b, n=draw(st.integers(1, 10**6)), s=draw(_open_unit()),
                             T=draw(_positive()), nt=draw(st.integers(1, 10**6)),
                             omega_a=omega_a, omega_b=omega_b, alpha=draw(_positive()),
-                            m=m, M=M, rho0=draw(_PROFILES), rhod=draw(_PROFILES))
+                            m=m, M=M, rho0=draw(_PROFILES), rhod=draw(_PROFILES),
+                            c_user=draw(_finite(0.0)))
     optimizer = OptimizerConfig(
         max_iters=draw(st.integers(0, 10**6)), kkt_tol=draw(_positive()),
-        seed=draw(st.integers(0, 2**63)), method=draw(st.sampled_from(["pg", "fp"])),
-        c_user=draw(_finite(0.0)))
+        method=draw(st.sampled_from(["pg", "fp"])))
     counts = {name: draw(st.integers(1, 10**6))
               for name in ("mp_cases", "estimate_cases", "derivative_cases", "lipschitz_pairs",
                            "vi_samples", "coercivity_samples", "growth_samples", "starts")}
