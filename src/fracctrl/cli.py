@@ -92,6 +92,7 @@ def _parse_value(section: str, name: str, text: str, lineno: int):
 
 def parse_config(text: str) -> RunConfig:
     values = {section: {} for section in _SECTIONS}
+    seen = {}  # key -> the line that first set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,6 +107,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown section '{section}' in key '{key}'")
         if name not in _keys(section):
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if (first := seen.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"line {lineno}: key '{key}' is already set on line {first}")
         values[section][name] = _parse_value(section, name, value, lineno)
     try:
         return RunConfig(**{section: cls(**values[section])

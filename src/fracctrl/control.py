@@ -108,8 +108,7 @@ def gradient(spec: ProblemSpec, v: ControlField):
     return e.g, e.rho, e.q
 
 
-def hessian_action(e: Evaluation, directions: np.ndarray,
-                   y: TimeField | None = None) -> np.ndarray:
+def hessian_action(e: Evaluation, directions: np.ndarray) -> np.ndarray:
     """H w on the window for each w of a stack of directions, shape
     (k, nt, n_omega): the derivative of the gradient field along w at the
     evaluated control e.u, alpha*w + y*q + rho*p.
@@ -120,13 +119,11 @@ def hessian_action(e: Evaluation, directions: np.ndarray,
     linearized map and <Hw, d> = <w, Hd> holds to round-off.  The k
     directions share one forward and one backward block march, and each
     action is bitwise its direction's alone; the stack is C-contiguous, so
-    each H w sums as one (nt, n_omega) array.  y may be given: it is
-    solve_linearized(spec, e.u, directions, e.rho, steps=e.steps).
+    each H w sums as one (nt, n_omega) array.
     """
     spec, grid = e.spec, e.spec.grid
     directions = direction_stack(grid, directions)
-    if y is None:
-        y = solve_linearized(spec, e.u, directions, e.rho, steps=e.steps)
+    y = solve_linearized(spec, e.u, directions, e.rho, steps=e.steps)
     w = np.moveaxis(directions, 0, -1)  # (nt, n_omega, k)
     rho, q = e.rho.restrict_omega()[..., None], e.q.restrict_omega()[..., None]
     p = e.steps.march(y.final, window_source(grid, w * q), backward=True)
@@ -181,11 +178,13 @@ class ConditionReport:
         return self.bound - self.lhs
 
 
+# An overflowing left-hand side is inf and fails; zero data give 0 whatever the exponential.
 def uniqueness_condition(spec: ProblemSpec) -> ConditionReport:
     """Local-uniqueness smallness test: 3 e^(3 theta T) (||rho0||_inf^2 +
     ||target||_inf^2) < alpha."""
-    lhs = 3.0 * np.exp(3.0 * spec.theta * spec.grid.T) * (
-        spec.rho0_sup**2 + spec.target_sup**2)
+    with np.errstate(over="ignore"):
+        data = np.float64(spec.rho0_sup)**2 + np.float64(spec.target_sup)**2
+        lhs = 3.0 * np.exp(3.0 * spec.theta * spec.grid.T) * data if data else 0.0
     return ConditionReport(lhs=float(lhs), bound=spec.alpha, holds=bool(lhs < spec.alpha))
 
 
@@ -194,8 +193,9 @@ def ssc_smallness(spec: ProblemSpec) -> ConditionReport:
     (6 + C theta) e^(2 theta T) (||rho0||_inf + ||target||_inf) ||rho0||_inf <= alpha/2,
     with C the problem's constant spec.c_user.
     """
-    lhs = (6.0 + spec.c_user * spec.theta) * np.exp(2.0 * spec.theta * spec.grid.T) * (
-        spec.rho0_sup + spec.target_sup) * spec.rho0_sup
+    with np.errstate(over="ignore"):
+        lhs = (6.0 + spec.c_user * spec.theta) * np.exp(2.0 * spec.theta * spec.grid.T) * (
+            spec.rho0_sup + spec.target_sup) * spec.rho0_sup if spec.rho0_sup else 0.0
     bound = 0.5 * spec.alpha
     return ConditionReport(lhs=float(lhs), bound=bound, holds=bool(lhs <= bound))
 

@@ -203,11 +203,17 @@ class StepSolver:
         init (n, k) and source (nt, n, k) march a block of k columns, one
         solve with k right-hand sides per level; potrs solves the columns
         independently, so column j is bitwise the march of column j alone.
+        Any other shape, which would broadcast or run short, is a ValueError.
         """
         grid = self.spec.grid
         dt = grid.dt
         levels = range(grid.nt, 0, -1) if backward else range(1, grid.nt + 1)
         cur = np.asarray(init, dtype=float)
+        shape = None if source is None else np.shape(source)
+        if (cur.ndim not in (1, 2) or cur.shape[0] != grid.n
+                or shape not in (None, (grid.nt,) + cur.shape)):
+            raise ValueError(f"march needs init (n,) or (n, k) and source (nt,) + init's shape, "
+                             f"n={grid.n}, nt={grid.nt}; got init {cur.shape} and source {shape}")
         out = np.empty((grid.nt + 1,) + cur.shape)
         for k in levels:
             rhs = cur if source is None else cur + dt * source[k - 1]
@@ -295,9 +301,6 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
     lam^1 as the t=0 extension.  This pairing makes the discrete duality
     identity with the linearized solver exact.
     """
-    terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (spec.grid.n,):
-        raise ValueError(f"terminal datum shape {terminal.shape} != {(spec.grid.n,)}")
     return _steps_for(spec, v, steps).march(terminal, backward=True)
 
 

@@ -138,6 +138,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("verify.suites = operator,frobnicate\n")
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        text = "problem.n = 31\n# finer\nproblem.n = 63\n"
+        with pytest.raises(ConfigError, match="line 3: key 'problem.n' is already set on line 1"):
+            parse_config(text)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert main(["gradcheck", "--config", str(config)]) == 2
+        assert "'problem.n'" in capsys.readouterr().err
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# header\n\nproblem.alpha = 2.0  # trailing\n")
         assert cfg.problem.alpha == 2.0
@@ -318,11 +327,26 @@ class TestCommands:
 
     def test_optimize_budget_exhaustion_exit_code(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text(TINY + "optimizer.max_iters = 1\noptimizer.kkt_tol = 1e-13\n")
+        config.write_text(TINY.replace("optimizer.kkt_tol = 1e-8", "optimizer.kkt_tol = 1e-13")
+                          + "optimizer.max_iters = 1\n")
         out = tmp_path / "out"
         code = main(["optimize", "--config", str(config), "--out", str(out)])
         assert code == 4
         assert (out / "u.csv").exists()  # artifacts written despite failure
+
+    def test_optimize_where_the_smallness_exponentials_overflow(self, tmp_path):
+        # dt*theta = 1/3 is admissible, yet e^(3 theta T) = e^1500 is past the
+        # float range: the summary reads inf and False, and nothing warns
+        config = tmp_path / "run.cfg"
+        config.write_text("problem.n = 7\nproblem.nt = 1500\nproblem.m = -1000\n"
+                          "problem.M = 1000\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(config), "--out", str(out)]) == 0
+        summary = read_kv(out / "summary.txt")
+        assert summary["status"] == "converged"
+        assert (summary["uniqueness_lhs"], summary["uniqueness_margin"],
+                summary["uniqueness_holds"]) == ("inf", "-inf", "False")
+        assert (summary["ssc_lhs"], summary["ssc_holds"]) == ("inf", "False")
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out",
@@ -502,7 +526,7 @@ class TestBadInput:
                                            ("derivative_cases", "derivatives")])
     def test_zero_case_count(self, tmp_path, capsys, key, suite):
         config = tmp_path / "run.cfg"
-        config.write_text(TINY + f"verify.{key} = 0\n")
+        config.write_text(TINY.replace(f"verify.{key} = 2", f"verify.{key} = 0"))
         code = main(["verify", "--config", str(config), "--suite", suite,
                      "--out", str(tmp_path / "out")])
         assert code == 2

@@ -1,6 +1,7 @@
 """Time-stepping solvers: eigen-oracle identities, positivity, adjoint duality."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -412,6 +413,21 @@ class TestMarch:
             single = steps.march(init[:, j], None if source is None else source[..., j],
                                  backward=backward)
             assert np.array_equal(block.values[..., j], single.values)
+
+    # (n, nt) = (24, 12): a source that would broadcast, one short of nt
+    # levels, two whose block width is not init's, and inits of no march
+    @pytest.mark.parametrize("init,source", [((24,), (12, 1)), ((24,), (11, 24)),
+                                             ((24, 3), (12, 24)), ((24, 3), (12, 24, 2)),
+                                             ((23,), None), ((24, 3, 1), None), ((), None)],
+                             ids=["broadcast-source", "short-source", "single-source",
+                                  "narrow-source", "short-init", "3d-init", "scalar-init"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_misshaped_inputs_are_refused(self, init, source, backward):
+        spec = make_spec(n=24, nt=12)
+        steps = StepSolver(spec, constant_control(spec.grid, 0.0))
+        with pytest.raises(ValueError, match=re.escape(f"got init {init} and source {source}")):
+            steps.march(np.zeros(init), None if source is None else np.zeros(source),
+                        backward=backward)
 
     @pytest.mark.parametrize("name", ["state", "sourced", "shifted", "adjoint", "linearized"])
     def test_one_step_solve_per_level(self, name, step_solves):

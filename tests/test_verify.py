@@ -324,7 +324,7 @@ class TestWorkers:
 
 
 def _check(value, lower=-math.inf, upper=math.inf):
-    return CheckResult("operator-weights", "", value, lower, upper)
+    return CheckResult("operator-weights", value, lower, upper)
 
 
 class TestRules:
