@@ -36,8 +36,9 @@ BOX_REL = 1e-9
 
 def cost_from_state(spec: ProblemSpec, v: ControlField, rho: TimeField) -> float:
     mismatch = rho.final - spec.rho_target
-    track = 0.5 * spec.grid.dx * float(np.dot(mismatch, mismatch))
-    reg = 0.5 * spec.alpha * spec.control_dot(v.values, v.values)
+    with np.errstate(over="ignore"):  # past the float range J is inf, which fails .finite
+        track = 0.5 * spec.grid.dx * float(np.dot(mismatch, mismatch))
+        reg = 0.5 * spec.alpha * spec.control_dot(v.values, v.values)
     return track + reg
 
 
@@ -46,9 +47,9 @@ def cost(spec: ProblemSpec, v: ControlField) -> float:
     return cost_from_state(spec, v, solve_state(spec, v))
 
 
-def project(spec: ProblemSpec, raw) -> ControlField:
-    """Pointwise clip onto the admissible box; idempotent and 1-Lipschitz in L2."""
-    values = raw.values if isinstance(raw, ControlField) else np.asarray(raw, dtype=float)
+def project(spec: ProblemSpec, values: np.ndarray) -> ControlField:
+    """Pointwise clip of control-shaped values onto the admissible box;
+    idempotent and 1-Lipschitz in L2."""
     clipped = np.clip(values, spec.vmin, spec.vmax)
     return ControlField(clipped, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
 
@@ -90,10 +91,11 @@ def kkt_residual(spec: ProblemSpec, u: ControlField, rho: TimeField | None = Non
     if rho is None:
         rho = solve_state(spec, u, steps=steps)
     q = solve_adjoint(spec, u, rho.final - spec.rho_target, steps=steps)
-    # the projection form of the first-order condition: u = image at a KKT point
-    image = project(spec, -rho.restrict_omega() * q.restrict_omega() / spec.alpha)
-    return Evaluation(spec=spec, u=u, rho=rho, q=q,
-                      g=spec.alpha * u.values + rho.restrict_omega() * q.restrict_omega(),
+    with np.errstate(over="ignore"):  # an overflowing rho*q makes g inf, which fails .finite
+        # the projection form of the first-order condition: u = image at a KKT point
+        image = project(spec, -rho.restrict_omega() * q.restrict_omega() / spec.alpha)
+        g = spec.alpha * u.values + rho.restrict_omega() * q.restrict_omega()
+    return Evaluation(spec=spec, u=u, rho=rho, q=q, g=g,
                       j=cost_from_state(spec, u, rho), image=image,
                       residual=spec.control_norm(u.values - image.values))
 
@@ -131,9 +133,10 @@ def hessian_action(e: Evaluation, directions: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(h, -1, 0))
 
 
-def hessian_bilinear(e: Evaluation, w: ControlField, d: ControlField) -> float:
-    """Second derivative of the discrete cost at e.u along (w, d): <Hw, d>."""
-    return e.spec.control_dot(hessian_action(e, w.values[None])[0], d.values)
+def hessian_bilinear(e: Evaluation, w: np.ndarray, d: np.ndarray) -> float:
+    """Second derivative of the discrete cost at e.u along the control-shaped
+    directions (w, d): <Hw, d>."""
+    return e.spec.control_dot(hessian_action(e, w[None])[0], d)
 
 
 def active_set(g: np.ndarray, tau: float) -> np.ndarray:

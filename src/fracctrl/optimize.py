@@ -69,7 +69,7 @@ def _iterate(spec: ProblemSpec, v0: ControlField, opts: OptimOptions, step) -> O
     spends max_iters updates, or until step returns None (stalled).  prev is
     the previous iterate's (u values, gradient), None on the first update.
     Each evaluated control marches its state and adjoint on one StepSolver."""
-    u0 = project(spec, v0)
+    u0 = project(spec, v0.values)
     e = kkt_residual(spec, u0, steps=StepSolver(spec, u0))
     j_hist, kkt_hist = [e.j], [e.residual]
     status, prev = None, None
@@ -140,10 +140,7 @@ def _fixed_point_step(spec: ProblemSpec, e: Evaluation, prev=None) -> Evaluation
     None when the step, e.residual, is below 1e-14.  prev is not used."""
     if e.residual < 1e-14:
         return None
-    # the image keeps the Fortran order of restrict_omega's product; a
-    # C-ordered iterate, like every other control, sums in row order
-    u = e.u.like(np.ascontiguousarray(e.image.values))
-    return kkt_residual(spec, u, steps=StepSolver(spec, u))
+    return kkt_residual(spec, e.image, steps=StepSolver(spec, e.image))
 
 
 def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> OptimResult:

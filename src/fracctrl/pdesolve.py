@@ -98,18 +98,17 @@ class TimeField:
 
 @dataclass
 class ControlField:
-    """Control values on the omega nodes at implicit levels 1..nt.
-
-    vmin/vmax carry the admissible box; direction fields carry none.
-    """
+    """Control values on the omega nodes at implicit levels 1..nt, stored
+    C-contiguous, with the admissible box [vmin, vmax] they were drawn for.
+    A direction is a plain control-shaped array, not a ControlField."""
 
     values: np.ndarray
     grid: Grid
-    vmin: float | None = None
-    vmax: float | None = None
+    vmin: float
+    vmax: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         expected = (self.grid.nt, self.grid.n_omega)
         if self.values.shape != expected:
             raise ValueError(f"control shape {self.values.shape} != {expected}")
@@ -123,19 +122,15 @@ class ControlField:
 
     @property
     def theta(self) -> float:
-        """Larger of the actual sup and, when a box is attached, the box magnitude."""
-        if self.vmin is not None and self.vmax is not None:
-            return max(abs(self.vmin), abs(self.vmax), self.sup)
-        return self.sup
+        """Larger of the box magnitude and the actual sup."""
+        return max(abs(self.vmin), abs(self.vmax), self.sup)
 
     def like(self, values: np.ndarray) -> "ControlField":
-        return ControlField(values=np.asarray(values, dtype=float), grid=self.grid,
-                            vmin=self.vmin, vmax=self.vmax)
+        return ControlField(values, self.grid, vmin=self.vmin, vmax=self.vmax)
 
 
-def constant_control(grid: Grid, value: float, vmin=None, vmax=None) -> ControlField:
-    return ControlField(np.full((grid.nt, grid.n_omega), float(value)), grid,
-                        vmin=vmin, vmax=vmax)
+def constant_control(grid: Grid, value: float, vmin: float, vmax: float) -> ControlField:
+    return ControlField(np.full((grid.nt, grid.n_omega), float(value)), grid, vmin, vmax)
 
 
 def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlField:
@@ -306,23 +301,21 @@ def solve_adjoint(spec: ProblemSpec, v: ControlField, terminal: np.ndarray,
 
 def solve_linearized(spec: ProblemSpec, v: ControlField, w,
                      rho: TimeField, steps: StepSolver | None = None) -> TimeField:
-    """Derivative of the discrete forward map in the control direction w.
+    """Derivative of the discrete forward map along each direction of w.
 
     y^0 = 0 and M_n y^n = y^(n-1) + dt * (w^n rho^n) on the window, with rho
     the solve_state trajectory for v.  This is exact for the discrete scheme:
     it is what differentiating M_n rho^n = rho^(n-1) in v gives.
 
-    w is a ControlField, or a stack (k, nt, n_omega) of directions marched as
-    one (nt+1, n, k) block, whose column j is bitwise direction j's alone.
+    w is a stack (k, nt, n_omega) of directions marched as one (nt+1, n, k)
+    block, whose column j is bitwise direction j's alone.
     """
     grid = spec.grid
     if rho.grid != grid:
         raise ValueError("state trajectory was computed on a different grid")
-    if isinstance(w, ControlField):
-        source = w.values * rho.restrict_omega()
-    else:  # (k, nt, n_omega) -> (nt, n_omega, k), against rho's (nt, n_omega, 1)
-        source = np.moveaxis(direction_stack(grid, w), 0, -1) * rho.restrict_omega()[..., None]
-    return _steps_for(spec, v, steps).march(np.zeros((grid.n,) + source.shape[2:]),
+    # (k, nt, n_omega) -> (nt, n_omega, k), against rho's (nt, n_omega, 1)
+    source = np.moveaxis(direction_stack(grid, w), 0, -1) * rho.restrict_omega()[..., None]
+    return _steps_for(spec, v, steps).march(np.zeros((grid.n, source.shape[2])),
                                             window_source(grid, source))
 
 

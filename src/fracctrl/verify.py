@@ -618,60 +618,60 @@ def run_derivative_suite(cfg: SuiteConfig) -> VerifyReport:
     rng.standard_normal(n)
     spec0 = base.with_data(np.zeros(n), rng.standard_normal(n))
     v0 = random_admissible(spec0, rng)
-    w0 = ControlField(rng.standard_normal(v0.values.shape), spec0.grid)
+    w0 = rng.standard_normal(v0.values.shape)
     g0 = kkt_residual(spec0, v0).g
     report.add("derivative-convex-exact", np.max(np.abs(g0 - spec0.alpha * v0.values)),
                upper=0.0)
     # the cost is exactly quadratic here, so the central difference carries no
     # truncation term at any step; a large step avoids cancellation noise
-    fd0 = central_difference(spec0, v0, w0.values, 1e-2)
-    report.add("derivative-convex-fd", directional_error(spec0, g0, w0.values, fd0),
+    fd0 = central_difference(spec0, v0, w0, 1e-2)
+    report.add("derivative-convex-fd", directional_error(spec0, g0, w0, fd0),
                upper=1e-10)
 
     for case in range(cfg.derivative_cases):
         spec = base.with_data(rng.standard_normal(n), rng.standard_normal(n))
         v = random_admissible(spec, rng, 0.7)
-        w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
-        d = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+        w = rng.standard_normal(v.values.shape)
+        d = rng.standard_normal(v.values.shape)
 
         e = kkt_residual(spec, v)
         rho = e.rho
-        directional = spec.control_dot(e.g, w.values)
-        fd = central_difference(spec, v, w.values, 1e-5)
-        worst_fd = np.maximum(worst_fd, directional_error(spec, e.g, w.values, fd))
-        y = solve_linearized(spec, v, w, rho, steps=e.steps)
+        directional = spec.control_dot(e.g, w)
+        fd = central_difference(spec, v, w, 1e-5)
+        worst_fd = np.maximum(worst_fd, directional_error(spec, e.g, w, fd))
+        y = solve_linearized(spec, v, w[None], rho, steps=e.steps).values[..., 0]
 
         # duality pairing over its Cauchy-Schwarz bound dx |r| |y_T|; the
         # bound is 0 when rho(T) meets the target, and the NaN of 0/0 fails
         r = rho.final - spec.rho_target
-        lhs = spec.grid.dx * float(np.dot(r, y.final))
-        rhs = spec.control_dot(w.values * rho.restrict_omega(), e.q.restrict_omega())
-        scale = spec.grid.dx * np.linalg.norm(r) * np.linalg.norm(y.final)
+        lhs = spec.grid.dx * float(np.dot(r, y[-1]))
+        rhs = spec.control_dot(w * rho.restrict_omega(), e.q.restrict_omega())
+        scale = spec.grid.dx * np.linalg.norm(r) * np.linalg.norm(y[-1])
         worst_dual = np.maximum(worst_dual, abs(lhs - rhs) / scale)
 
         # the symmetry error over its Cauchy-Schwarz scale, which cannot cancel
-        hw, hd = hessian_action(e, np.stack([w.values, d.values]))
-        h_wd, h_dw = spec.control_dot(hw, d.values), spec.control_dot(hd, w.values)
-        cs = min(spec.control_norm(hw) * spec.control_norm(d.values),
-                 spec.control_norm(hd) * spec.control_norm(w.values))
+        hw, hd = hessian_action(e, np.stack([w, d]))
+        h_wd, h_dw = spec.control_dot(hw, d), spec.control_dot(hd, w)
+        cs = min(spec.control_norm(hw) * spec.control_norm(d),
+                 spec.control_norm(hd) * spec.control_norm(w))
         worst_sym = np.maximum(worst_sym, abs(h_wd - h_dw) / cs)
 
-        h_ww = spec.control_dot(hw, w.values)
+        h_ww = spec.control_dot(hw, w)
         eps2 = 1e-3
-        sd = (cost(spec, v.like(v.values + eps2 * w.values)) - 2 * e.j
-              + cost(spec, v.like(v.values - eps2 * w.values))) / eps2**2
+        sd = (cost(spec, v.like(v.values + eps2 * w)) - 2 * e.j
+              + cost(spec, v.like(v.values - eps2 * w))) / eps2**2
         worst_hfd = np.maximum(worst_hfd, abs(h_ww - sd) / abs(h_ww))
 
         eps_grid = np.array([1e-2, 1e-3, 1e-4])
         errs = []
         for eps in eps_grid:
-            pert = solve_state(spec, v.like(v.values + eps * w.values))
-            errs.append(TimeField((pert.values - rho.values) / eps - y.values, spec.grid).st_l2())
+            pert = solve_state(spec, v.like(v.values + eps * w))
+            errs.append(TimeField((pert.values - rho.values) / eps - y, spec.grid).st_l2())
         slope = float(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0])
         worst_slope = np.maximum(worst_slope, abs(slope - 1.0))
 
         if case < 3:
-            sweep = [abs(central_difference(spec, v, w.values, eps) - directional)
+            sweep = [abs(central_difference(spec, v, w, eps) - directional)
                      / abs(directional) for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
             vshape_min = np.minimum(vshape_min, np.min(sweep))
 

@@ -69,7 +69,7 @@ def derivative_cases(seed, n_cases):
                            rho_target=rng.standard_normal(grid.n))
         v = ControlField(rng.uniform(-0.7, 0.7, (grid.nt, grid.n_omega)), grid,
                          vmin=-1.0, vmax=1.0)
-        w = ControlField(rng.standard_normal(v.values.shape), grid)
+        w = rng.standard_normal(v.values.shape)
         yield spec, v, w
 
 
@@ -147,19 +147,19 @@ def test_criterion_06_gradient_exactness():
     worst_fd = worst_dual = 0.0
     for spec, v, w in derivative_cases(seed=106, n_cases=20):
         g, rho, q = gradient(spec, v)
-        directional = spec.control_dot(g, w.values)
+        directional = spec.control_dot(g, w)
         eps = 1e-5
 
         def j_at(vals):
             fld = v.like(vals)
             return cost_from_state(spec, fld, solve_state(spec, fld))
 
-        fd = (j_at(v.values + eps * w.values) - j_at(v.values - eps * w.values)) / (2 * eps)
+        fd = (j_at(v.values + eps * w) - j_at(v.values - eps * w)) / (2 * eps)
         worst_fd = max(worst_fd, abs(directional - fd) / abs(directional))
 
-        y = solve_linearized(spec, v, w, rho)
-        lhs = spec.grid.dx * float(np.dot(rho.final - spec.rho_target, y.final))
-        rhs = spec.control_dot(w.values * rho.restrict_omega(), q.restrict_omega())
+        y = solve_linearized(spec, v, w[None], rho)
+        lhs = spec.grid.dx * float(np.dot(rho.final - spec.rho_target, y.final[:, 0]))
+        rhs = spec.control_dot(w * rho.restrict_omega(), q.restrict_omega())
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     report(6, "gradient exactness", worst_fd <= 1e-6 and worst_dual <= 1e-12,
            f"20 instances: fd error {worst_fd:.2e} <= 1e-6, "
@@ -170,15 +170,15 @@ def test_criterion_07_hessian():
     worst_sym = worst_fd = 0.0
     rng = np.random.default_rng(107)
     for spec, v, w in derivative_cases(seed=207, n_cases=20):
-        d = ControlField(rng.standard_normal(w.values.shape), spec.grid)
+        d = rng.standard_normal(w.shape)
         e = kkt_residual(spec, v)
         h_wd = hessian_bilinear(e, w, d)
         h_dw = hessian_bilinear(e, d, w)
         # over the Cauchy-Schwarz scale min(|Hw||d|, |Hd||w|), which cannot
         # cancel as |<Hw,d>| can
-        hw, hd = hessian_action(e, np.stack([w.values, d.values]))
-        cs = min(spec.control_norm(hw) * spec.control_norm(d.values),
-                 spec.control_norm(hd) * spec.control_norm(w.values))
+        hw, hd = hessian_action(e, np.stack([w, d]))
+        cs = min(spec.control_norm(hw) * spec.control_norm(d),
+                 spec.control_norm(hd) * spec.control_norm(w))
         worst_sym = max(worst_sym, abs(h_wd - h_dw) / cs)
 
         h_ww = hessian_bilinear(e, w, w)
@@ -188,8 +188,8 @@ def test_criterion_07_hessian():
             fld = v.like(vals)
             return cost_from_state(spec, fld, solve_state(spec, fld))
 
-        sd = (j_at(v.values + eps * w.values) - 2 * j_at(v.values)
-              + j_at(v.values - eps * w.values)) / eps**2
+        sd = (j_at(v.values + eps * w) - 2 * j_at(v.values)
+              + j_at(v.values - eps * w)) / eps**2
         worst_fd = max(worst_fd, abs(h_ww - sd) / abs(h_ww))
     report(7, "hessian symmetry and consistency",
            worst_sym <= 1e-13 and worst_fd <= 1e-4,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -347,6 +348,18 @@ class TestCommands:
         assert (summary["uniqueness_lhs"], summary["uniqueness_margin"],
                 summary["uniqueness_holds"]) == ("inf", "-inf", "False")
         assert (summary["ssc_lhs"], summary["ssc_holds"]) == ("inf", "False")
+
+    def test_optimize_on_data_past_the_float_range_fails_without_warning(self, tmp_path):
+        # rho0 of sup 1e200: the cost and the products rho*q overflow to inf,
+        # which the run reports as status failed, exit 4, not as a warning
+        config = tmp_path / "run.cfg"
+        config.write_text("problem.n = 15\nproblem.nt = 20\nproblem.rho0 = bump(1e200)\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["optimize", "--config", str(config), "--out", str(out)]) == 4
+        summary = read_kv(out / "summary.txt")
+        assert (summary["status"], summary["iterations"], summary["cost"]) == ("failed", "0", "inf")
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out",

@@ -22,7 +22,7 @@ from fracctrl.control import (
     uniqueness_condition,
 )
 from fracctrl.fracop import Grid, InvalidOrderError
-from fracctrl.pdesolve import ControlField, StepSolver, constant_control, solve_linearized
+from fracctrl.pdesolve import StepSolver, constant_control, solve_linearized
 from fracctrl.problem import ProblemConfig, ProblemSpec, benchmark_problem, bump_profile
 
 from test_pdesolve import (
@@ -138,7 +138,7 @@ class TestCost:
 
     def test_all_zero_data(self):
         spec = make_spec()
-        assert cost(spec, constant_control(spec.grid, 0.0)) == 0.0
+        assert cost(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)) == 0.0
 
     def test_eigen_instance_closed_form(self):
         spec0 = make_spec(window=(-1.0, 1.0))
@@ -169,10 +169,10 @@ class TestGradient:
         v = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
         g, _, _ = gradient(spec, v)
-        directional = spec.control_dot(g, w.values)
+        directional = spec.control_dot(g, w)
         eps = 1e-5
-        fd = (cost(spec, v.like(v.values + eps * w.values))
-              - cost(spec, v.like(v.values - eps * w.values))) / (2 * eps)
+        fd = (cost(spec, v.like(v.values + eps * w))
+              - cost(spec, v.like(v.values - eps * w))) / (2 * eps)
         assert abs(directional - fd) <= 1e-6 * abs(directional)
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -184,9 +184,9 @@ class TestGradient:
         v = random_control(spec, rng, scale=0.8)
         w = random_direction(spec, rng)
         _, rho, q = gradient(spec, v)
-        y = solve_linearized(spec, v, w, rho)
-        lhs = spec.grid.dx * np.dot(rho.final - spec.rho_target, y.final)
-        rhs = spec.control_dot(w.values * rho.restrict_omega(), q.restrict_omega())
+        y = solve_linearized(spec, v, w[None], rho)
+        lhs = spec.grid.dx * np.dot(rho.final - spec.rho_target, y.final[:, 0])
+        rhs = spec.control_dot(w * rho.restrict_omega(), q.restrict_omega())
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_error_v_shape_in_epsilon(self):
@@ -196,11 +196,11 @@ class TestGradient:
         v = random_control(spec, rng, scale=0.7)
         w = random_direction(spec, rng)
         g, _, _ = gradient(spec, v)
-        directional = spec.control_dot(g, w.values)
+        directional = spec.control_dot(g, w)
         errs = []
         for eps in (1e-2, 1e-5, 1e-9):
-            fd = (cost(spec, v.like(v.values + eps * w.values))
-                  - cost(spec, v.like(v.values - eps * w.values))) / (2 * eps)
+            fd = (cost(spec, v.like(v.values + eps * w))
+                  - cost(spec, v.like(v.values - eps * w))) / (2 * eps)
             errs.append(abs(fd - directional) / abs(directional))
         assert errs[1] < 1e-7
         assert errs[1] < errs[0]
@@ -213,7 +213,7 @@ class TestHessian:
         spec = make_spec(rho0=rng.standard_normal(18))
         u = random_control(spec, rng)
         w = random_direction(spec, rng)
-        z = ControlField(np.zeros_like(w.values), spec.grid)
+        z = np.zeros_like(w)
         assert hessian_bilinear(kkt_residual(spec, u), z, w) == 0.0
 
     def test_symmetry(self):
@@ -236,8 +236,8 @@ class TestHessian:
         value = hessian_bilinear(kkt_residual(spec, u), w, w)
         eps = 1e-3
         j0 = cost(spec, u)
-        jp = cost(spec, u.like(u.values + eps * w.values))
-        jm = cost(spec, u.like(u.values - eps * w.values))
+        jp = cost(spec, u.like(u.values + eps * w))
+        jm = cost(spec, u.like(u.values - eps * w))
         fd = (jp - 2 * j0 + jm) / eps**2
         assert abs(value - fd) <= 1e-4 * abs(value)
 
@@ -249,9 +249,9 @@ class TestHessian:
         value = hessian_bilinear(kkt_residual(spec, u), w, w)
         errs = []
         for eps in (1e-3, 1e-4):
-            g_p, _, _ = gradient(spec, u.like(u.values + eps * w.values))
+            g_p, _, _ = gradient(spec, u.like(u.values + eps * w))
             g_0, _, _ = gradient(spec, u)
-            fd = (spec.control_dot(g_p, w.values) - spec.control_dot(g_0, w.values)) / eps
+            fd = (spec.control_dot(g_p, w) - spec.control_dot(g_0, w)) / eps
             errs.append(abs(fd - value) / abs(value))
         assert errs[1] < errs[0]
         assert errs[1] <= 1e-3
@@ -262,12 +262,12 @@ def cross_term_hessian(e, w, d):
     <(d y_w + w y_d), q> + dx <y_w(T), y_d(T)> + alpha <d, w>, symmetric in
     (w, d) by construction."""
     spec = e.spec
-    y_w = solve_linearized(spec, e.u, w, e.rho)
-    y_d = solve_linearized(spec, e.u, d, e.rho)
-    cross = spec.control_dot(d.values * y_w.restrict_omega() + w.values * y_d.restrict_omega(),
+    y_w = solve_linearized(spec, e.u, w[None], e.rho)
+    y_d = solve_linearized(spec, e.u, d[None], e.rho)
+    cross = spec.control_dot(d * y_w.restrict_omega()[..., 0] + w * y_d.restrict_omega()[..., 0],
                              e.q.restrict_omega())
-    terminal = spec.grid.dx * float(np.dot(y_w.final, y_d.final))
-    return cross + terminal + spec.alpha * spec.control_dot(d.values, w.values)
+    terminal = spec.grid.dx * float(np.dot(y_w.final[:, 0], y_d.final[:, 0]))
+    return cross + terminal + spec.alpha * spec.control_dot(d, w)
 
 
 class TestHessianAction:
@@ -293,7 +293,7 @@ class TestHessianAction:
             d = random_direction(e.spec, rng)
             for a, b in ((w, d), (d, w), (w, w)):
                 ref = cross_term_hessian(e, a, b)
-                paired = e.spec.control_dot((H @ a.values.ravel()).reshape(shape), b.values)
+                paired = e.spec.control_dot((H @ a.ravel()).reshape(shape), b)
                 assert abs(paired - ref) <= 1e-13 * abs(ref)
                 assert abs(hessian_bilinear(e, a, b) - ref) <= 1e-13 * abs(ref)
 
@@ -304,7 +304,7 @@ class TestHessianAction:
         # a single direction and a block of six each take one march pair
         for k in (1, 6):
             step_solves.clear()
-            hessian_action(e, np.stack([random_direction(e.spec, rng).values for _ in range(k)]))
+            hessian_action(e, np.stack([random_direction(e.spec, rng) for _ in range(k)]))
             assert len(step_solves) == 2 * e.spec.grid.nt
         assert len(builds) == 0
 
@@ -313,28 +313,38 @@ class TestHessianAction:
         rng = np.random.default_rng(33)
         spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18))
         e = kkt_residual(spec, step_control(kind, spec, rng))
-        directions = np.stack([random_direction(spec, rng).values for _ in range(7)])
+        directions = np.stack([random_direction(spec, rng) for _ in range(7)])
         block = hessian_action(e, directions)
         assert block.shape == directions.shape and block.flags.c_contiguous
         for w, hw in zip(directions, block):
             assert np.array_equal(hw, hessian_action(e, w[None])[0])
             # the pairing sums a contiguous (nt, n_omega) array either way
-            assert (spec.control_dot(hw, w)
-                    == hessian_bilinear(e, ControlField(w, spec.grid), ControlField(w, spec.grid)))
+            assert spec.control_dot(hw, w) == hessian_bilinear(e, w, w)
 
 
-@pytest.mark.parametrize("shape", [(2, 1, 7), (2, 10, 1), (10, 7), (7,), (1, 2, 10, 7)])
-def test_misshaped_direction_stacks_are_refused(shape):
-    # each of these broadcasts against the (nt, n_omega) = (10, 7) window
+@pytest.mark.parametrize("shape", [(2, 1, 7), (2, 10, 1), (10, 7), (7,), (1, 2, 10, 7),
+                                   "control"])
+def test_misshaped_direction_stacks_are_refused(shape, step_solves):
+    # each shape broadcasts against the (nt, n_omega) = (10, 7) window; a
+    # ControlField is a control, never a direction
     rng = np.random.default_rng(41)
     spec = make_spec(n=11, nt=10, rho0=rng.standard_normal(11), target=rng.standard_normal(11))
     assert (spec.grid.nt, spec.grid.n_omega) == (10, 7)
     e = kkt_residual(spec, random_control(spec, rng, scale=0.5))
-    w = rng.standard_normal(shape)
-    with pytest.raises(ValueError, match="direction stack shape"):
-        solve_linearized(spec, e.u, w, e.rho)
-    with pytest.raises(ValueError, match="direction stack shape"):
-        hessian_action(e, w)
+    step_solves.clear()
+    if shape == "control":
+        for call in (lambda: solve_linearized(spec, e.u, e.u, e.rho),
+                     lambda: hessian_action(e, e.u),
+                     lambda: hessian_bilinear(e, e.u, e.u.values)):
+            with pytest.raises(TypeError):
+                call()
+    else:
+        w = rng.standard_normal(shape)
+        with pytest.raises(ValueError, match="direction stack shape"):
+            solve_linearized(spec, e.u, w, e.rho)
+        with pytest.raises(ValueError, match="direction stack shape"):
+            hessian_action(e, w)
+    assert step_solves == []
 
 
 class TestStepReuse:
@@ -425,7 +435,7 @@ class TestProjection:
         for _ in range(1000):
             raw = 3.0 * rng.standard_normal(shape)
             once = project(spec, raw)
-            twice = project(spec, once)
+            twice = project(spec, once.values)
             assert np.array_equal(once.values, twice.values)
 
     def test_nonexpansive(self):

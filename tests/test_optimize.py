@@ -128,7 +128,8 @@ class TestProjectedGradient:
 
     def test_inadmissible_start_projected_first(self):
         spec = small_benchmark()
-        start = ControlField(5.0 * np.ones((spec.grid.nt, spec.grid.n_omega)), spec.grid)
+        start = ControlField(5.0 * np.ones((spec.grid.nt, spec.grid.n_omega)), spec.grid,
+                             spec.vmin, spec.vmax)
         res = projected_gradient(spec, start, OptimOptions())
         assert np.all((res.final.u.values >= spec.vmin) & (res.final.u.values <= spec.vmax))
         assert res.status == "converged"
@@ -169,7 +170,7 @@ def trial_points(monkeypatch):
     points, project = [], optimize.project
 
     def recorded(spec, raw):
-        points.append(np.array(getattr(raw, "values", raw), dtype=float))
+        points.append(np.array(raw, dtype=float))
         return project(spec, raw)
 
     monkeypatch.setattr(optimize, "project", recorded)
@@ -197,7 +198,7 @@ class TestSpectralStep:
         opts = OptimOptions(max_iters=1, kkt_tol=1e-12)
         res = projected_gradient(spec, start, opts)
         assert res.iterations == 1
-        e0 = kkt_residual(spec, optimize.project(spec, start))
+        e0 = kkt_residual(spec, optimize.project(spec, start.values))
         assert np.array_equal(trial_points[1], e0.u.values - (1.0 / spec.alpha) * e0.g)
 
     def test_later_update_starts_at_the_spectral_step(self, trial_points):

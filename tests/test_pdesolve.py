@@ -45,7 +45,7 @@ def random_control(spec, rng, scale=1.0):
 
 
 def random_direction(spec, rng):
-    return ControlField(rng.standard_normal((spec.grid.nt, spec.grid.n_omega)), spec.grid)
+    return rng.standard_normal((spec.grid.nt, spec.grid.n_omega))
 
 
 def principal_mode(spec):
@@ -243,7 +243,7 @@ class TestLinearizedSolver:
         spec = make_spec(rho0=rng.standard_normal(18))
         v = random_control(spec, rng)
         rho = solve_state(spec, v)
-        y = solve_linearized(spec, v, constant_control(spec.grid, 0.0), rho)
+        y = solve_linearized(spec, v, np.zeros((1, spec.grid.nt, spec.grid.n_omega)), rho)
         assert np.array_equal(y.values, np.zeros_like(y.values))
 
     def test_zero_state_kills_sensitivity(self):
@@ -251,7 +251,7 @@ class TestLinearizedSolver:
         spec = make_spec()
         v = random_control(spec, rng)
         rho = solve_state(spec, v)
-        y = solve_linearized(spec, v, random_direction(spec, rng), rho)
+        y = solve_linearized(spec, v, random_direction(spec, rng)[None], rho)
         assert np.array_equal(y.values, np.zeros_like(y.values))
 
     def test_foreign_trajectory_rejected(self):
@@ -261,7 +261,7 @@ class TestLinearizedSolver:
         v = random_control(spec, rng)
         foreign = solve_state(other, random_control(other, rng))
         with pytest.raises(ValueError, match="different grid"):
-            solve_linearized(spec, v, random_direction(spec, rng), foreign)
+            solve_linearized(spec, v, random_direction(spec, rng)[None], foreign)
 
     def test_block_columns_are_the_single_marches(self):
         rng = np.random.default_rng(16)
@@ -269,10 +269,11 @@ class TestLinearizedSolver:
         v = random_control(spec, rng, scale=0.8)
         rho = solve_state(spec, v)
         directions = [random_direction(spec, rng) for _ in range(3)]
-        block = solve_linearized(spec, v, np.stack([w.values for w in directions]), rho)
+        block = solve_linearized(spec, v, np.stack(directions), rho)
         assert block.values.shape == (spec.grid.nt + 1, spec.grid.n, 3)
         for j, w in enumerate(directions):
-            assert np.array_equal(block.values[..., j], solve_linearized(spec, v, w, rho).values)
+            single = solve_linearized(spec, v, w[None], rho)
+            assert np.array_equal(block.values[..., j], single.values[..., 0])
 
     def test_finite_difference_slope_one(self):
         rng = np.random.default_rng(15)
@@ -280,13 +281,13 @@ class TestLinearizedSolver:
         v = random_control(spec, rng, scale=0.8)
         w = random_direction(spec, rng)
         rho = solve_state(spec, v)
-        y = solve_linearized(spec, v, w, rho)
+        y = solve_linearized(spec, v, w[None], rho).values[..., 0]
         eps_grid = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errs = []
         for eps in eps_grid:
-            pert = solve_state(spec, v.like(v.values + eps * w.values))
+            pert = solve_state(spec, v.like(v.values + eps * w))
             fd = (pert.values - rho.values) / eps
-            diff = TimeField(np.vstack([np.zeros((1, spec.grid.n)), (fd - y.values)[1:]]),
+            diff = TimeField(np.vstack([np.zeros((1, spec.grid.n)), (fd - y)[1:]]),
                              spec.grid)
             errs.append(diff.st_l2())
         errs = np.array(errs)
@@ -341,7 +342,7 @@ class TestDenseStepPath:
         # dt = 1/60, so a control of sup 40 puts dt*theta at 2/3 > 1/2; a shift
         # of sup|v| makes every step matrix an M-matrix whatever dt is
         spec = make_spec(n=24, nt=30)
-        v = constant_control(spec.grid, 40.0)
+        v = constant_control(spec.grid, 40.0, spec.vmin, spec.vmax)
         with pytest.raises(StabilityError, match="stability margin"):
             StepSolver(spec, v)
         StepSolver(spec, v, shift=v.sup)
@@ -351,7 +352,7 @@ class TestDenseStepPath:
         spec = make_spec(n=24, nt=6)
         before = spec.operator.matrix.copy()
         StepSolver(spec, random_control(spec, rng), shift=0.5)
-        StepSolver(spec, constant_control(spec.grid, 0.4))
+        StepSolver(spec, constant_control(spec.grid, 0.4, spec.vmin, spec.vmax))
         assert np.array_equal(spec.operator.matrix, before)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -360,7 +361,7 @@ class TestDenseStepPath:
         f = np.zeros((10, 24))
         f[6, 3] = bad  # source row 6 enters implicit level 7
         with pytest.raises(SolverError, match="non-finite state at level 7$"):
-            solve_sourced(spec, constant_control(spec.grid, 0.0), f)
+            solve_sourced(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax), f)
 
     @pytest.mark.parametrize("nt", [10, 1])
     def test_non_finite_terminal_rejected(self, nt):
@@ -368,7 +369,7 @@ class TestDenseStepPath:
         terminal = np.zeros(24)
         terminal[5] = np.nan
         with pytest.raises(SolverError, match=f"non-finite multiplier at level {nt}$"):
-            solve_adjoint(spec, constant_control(spec.grid, 0.0), terminal)
+            solve_adjoint(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax), terminal)
 
 
 class TestMarch:
@@ -424,7 +425,7 @@ class TestMarch:
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     def test_misshaped_inputs_are_refused(self, init, source, backward):
         spec = make_spec(n=24, nt=12)
-        steps = StepSolver(spec, constant_control(spec.grid, 0.0))
+        steps = StepSolver(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax))
         with pytest.raises(ValueError, match=re.escape(f"got init {init} and source {source}")):
             steps.march(np.zeros(init), None if source is None else np.zeros(source),
                         backward=backward)
@@ -442,7 +443,8 @@ class TestMarch:
             "sourced": lambda: solve_sourced(spec, v, f),
             "shifted": lambda: solve_shifted(spec, v, f),
             "adjoint": lambda: solve_adjoint(spec, v, rng.standard_normal(24)),
-            "linearized": lambda: solve_linearized(spec, v, random_direction(spec, rng), rho),
+            "linearized": lambda: solve_linearized(spec, v, random_direction(spec, rng)[None],
+                                                   rho),
         }[name]
         step_solves.clear()  # drop the reference state's solves
         run()
@@ -459,7 +461,7 @@ class TestSharedSteps:
         rho = solve_state(spec, v, steps=steps)
         return [rho, solve_sourced(spec, v, f, steps=steps),
                 solve_adjoint(spec, v, terminal, steps=steps),
-                solve_linearized(spec, v, w, rho, steps=steps)]
+                solve_linearized(spec, v, w[None], rho, steps=steps)]
 
     @pytest.mark.parametrize("kind", ["varying", "blocks"])
     def test_shared_steps_equal_fresh_builds(self, kind):
@@ -468,7 +470,7 @@ class TestSharedSteps:
         v = step_control(kind, spec, rng)
         f = rng.standard_normal((12, 24))
         terminal = rng.standard_normal(24)
-        w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+        w = rng.standard_normal(v.values.shape)
         shared = self._solves(spec, v, f, terminal, w, steps=StepSolver(spec, v))
         fresh = self._solves(spec, v, f, terminal, w)
         for a, b in zip(shared, fresh):
@@ -487,12 +489,12 @@ class TestSharedSteps:
             "shifted": lambda: StepSolver(spec, v, shift=v.sup),
         }[wrong]()
         rho = solve_state(spec, v)
-        w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+        w = rng.standard_normal(v.values.shape)
         calls = [
             lambda: solve_state(spec, v, steps=steps),
             lambda: solve_sourced(spec, v, np.zeros((6, 24)), steps=steps),
             lambda: solve_adjoint(spec, v, np.ones(24), steps=steps),
-            lambda: solve_linearized(spec, v, w, rho, steps=steps),
+            lambda: solve_linearized(spec, v, w[None], rho, steps=steps),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="steps must be StepSolver"):
@@ -515,21 +517,27 @@ class TestFieldContainers:
     def test_control_shape_and_finite_check(self):
         grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
         with pytest.raises(ValueError):
-            ControlField(np.zeros((5, 8)), grid)
+            ControlField(np.zeros((5, 8)), grid, vmin=-1.0, vmax=1.0)
         bad = np.zeros((4, 8))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            ControlField(bad, grid)
+            ControlField(bad, grid, vmin=-1.0, vmax=1.0)
+        # a control always carries its box
+        with pytest.raises(TypeError):
+            ControlField(np.zeros((4, 8)), grid)
+        # and stores its values in one layout, whatever it was built from
+        fortran = np.asfortranarray(np.arange(32.0).reshape(4, 8))
+        v = ControlField(fortran, grid, vmin=-1.0, vmax=1.0)
+        assert v.values.flags.c_contiguous
+        assert np.array_equal(v.values, fortran)
 
     def test_admissibility_and_theta(self):
         grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)
         v = ControlField(0.5 * np.ones((4, 8)), grid, vmin=-1.0, vmax=2.0)
         assert v.theta == 2.0
         assert v.sup == 0.5
-        w = ControlField(3.0 * np.ones((4, 8)), grid)
-        assert w.theta == 3.0
         # the stability guard must see the values actually solved, not the box
-        assert ControlField(w.values, grid, vmin=-1.0, vmax=1.0).theta == 3.0
+        assert ControlField(3.0 * np.ones((4, 8)), grid, vmin=-1.0, vmax=1.0).theta == 3.0
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

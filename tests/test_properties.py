@@ -3,10 +3,13 @@
 Every instance keeps dt*theta <= 1/2, so each step matrix is an M-matrix and
 the forward and adjoint sweeps share its exact Cholesky factors.  One
 property runs both optimizers a few steps and re-evaluates the control they
-return.  The last covers the CLI config text: serializing then parsing any
-valid config gives it back.
+return.  Another covers the CLI config text: serializing then parsing any
+valid config gives it back.  The last checks that a failing property is
+reported like any failing test and the run goes on.
 """
 
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -95,15 +98,15 @@ def test_adjoint_duality_to_round_off(instance):
     # dx<r, y_T> = dx dt sum(w rho q) on the window; scaled by Cauchy-Schwarz
     # because the pairing itself can cancel to zero
     _, spec, v, rng = build(*instance)
-    w = ControlField(rng.standard_normal(v.values.shape), spec.grid)
+    w = rng.standard_normal(v.values.shape)
     r = rng.standard_normal(spec.grid.n)
     rho = solve_state(spec, v)
-    y = solve_linearized(spec, v, w, rho)
+    y_final = solve_linearized(spec, v, w[None], rho).final[:, 0]
     q = solve_adjoint(spec, v, r)
     dx = spec.grid.dx
-    lhs = dx * float(np.dot(r, y.final))
-    rhs = spec.control_dot(w.values * rho.restrict_omega(), q.restrict_omega())
-    assert abs(lhs - rhs) <= 1e-12 * dx * np.linalg.norm(r) * np.linalg.norm(y.final)
+    lhs = dx * float(np.dot(r, y_final))
+    rhs = spec.control_dot(w * rho.restrict_omega(), q.restrict_omega())
+    assert abs(lhs - rhs) <= 1e-12 * dx * np.linalg.norm(r) * np.linalg.norm(y_final)
 
 
 @given(instances())
@@ -181,3 +184,30 @@ def run_configs(draw):
 @given(run_configs())
 def test_config_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+_FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_leaves_the_run_going(tmp_path):
+    # reporting a failing example imports libcst, whose deprecation warning
+    # must not become an INTERNALERROR (exit 3) that hides every later test
+    (tmp_path / "test_two.py").write_text(_FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(pyproject),
+                          "-p", "no:cacheprovider", str(tmp_path)],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
