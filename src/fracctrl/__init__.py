@@ -9,7 +9,6 @@ criterion.
 """
 
 from .control import (
-    CoercivityReport,
     ConditionReport,
     Evaluation,
     active_set,
@@ -33,7 +32,6 @@ from .fracop import (
     quadrature_oracle,
 )
 from .optimize import (
-    MultistartReport,
     OptimOptions,
     OptimResult,
     fixed_point,

@@ -32,6 +32,8 @@ from .pdesolve import (
 )
 from .problem import ProblemConfig, ProblemSpec, source_number, split_source
 from .verify import (
+    GRADIENT_FD_BOUND,
+    GRADIENT_FD_STEP,
     SUITES,
     SuiteConfig,
     central_difference,
@@ -292,12 +294,12 @@ def cmd_gradcheck(args, cfg: RunConfig, spec: ProblemSpec) -> int:
     v = random_admissible(spec, rng, 0.7)
     w = rng.standard_normal(v.values.shape)
     g = kkt_residual(spec, v).g
-    fd = central_difference(spec, v, w, 1e-5)
+    fd = central_difference(spec, v, w, GRADIENT_FD_STEP)
     rel = directional_error(spec, g, w, fd)
     sys.stdout.write(f"directional = {spec.control_dot(g, w):.17g}\n"
                      f"central_difference = {fd:.17g}\n"
                      f"relative_error = {rel:.17g}\n")
-    return 0 if rel <= 1e-6 else 4
+    return 0 if rel <= GRADIENT_FD_BOUND else 4
 
 
 def build_parser() -> argparse.ArgumentParser:

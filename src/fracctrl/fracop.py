@@ -182,7 +182,8 @@ def assemble_operator(grid: Grid, s: float) -> FractionalOperator:
 
 
 def l2_norm(dx: float, u: np.ndarray) -> float:
-    return sqrt(dx * float(np.dot(u, u)))
+    with np.errstate(over="ignore"):  # past the float range the norm is inf, with no warning
+        return sqrt(dx * float(np.dot(u, u)))
 
 
 def linf_norm(u: np.ndarray) -> float:

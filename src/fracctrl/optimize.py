@@ -5,13 +5,12 @@ projection arc (monotone in J; every update after the first tries the
 Barzilai-Borwein step first, capped at the first update's step 1/alpha),
 and fixed-point iteration of the projection formula u = clip(-rho*q/alpha)
 (no monotonicity guarantee, fast under the small-data contraction regime).
-A multistart wrapper probes local uniqueness by comparing converged
-controls from random starts.
+A multistart wrapper runs projected gradient from random admissible starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,35 +153,10 @@ def fixed_point(spec: ProblemSpec, v0: ControlField, opts: OptimOptions) -> Opti
     return _iterate(spec, v0, opts, _fixed_point_step)
 
 
-@dataclass
-class MultistartReport:
-    """Pairwise agreement of converged controls from random admissible starts."""
-
-    results: list[OptimResult] = field(repr=False, default_factory=list)
-    max_pairwise: float = 0.0
-    tolerance: float = 0.0
-
-
 def multistart_uniqueness(spec: ProblemSpec, k_starts: int, opts: OptimOptions,
-                          seed: int) -> MultistartReport:
-    """Run projected gradient from k random admissible starts, drawn from a
-    generator seeded with seed, and compare.
-
-    The report holds the largest pairwise L2 distance of the final controls
-    and the tolerance 1e-6 * (vmax - vmin) * |omega_T|^(1/2); verify asserts
-    the one against the other when the uniqueness condition holds.
-    """
+                          seed: int) -> list[OptimResult]:
+    """Projected-gradient runs from k random admissible starts, drawn from a
+    generator seeded with seed; verify compares their final controls."""
     rng = np.random.default_rng(seed)
-    results = [projected_gradient(spec, random_admissible(spec, rng), opts)
-               for _ in range(k_starts)]
-    max_pair = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            dist = spec.control_norm(results[i].final.u.values - results[j].final.u.values)
-            max_pair = np.maximum(max_pair, dist)
-    measure_qt = spec.grid.omega_measure * spec.grid.T
-    return MultistartReport(
-        results=results,
-        max_pairwise=max_pair,
-        tolerance=1e-6 * (spec.vmax - spec.vmin) * float(np.sqrt(measure_qt)),
-    )
+    return [projected_gradient(spec, random_admissible(spec, rng), opts)
+            for _ in range(k_starts)]

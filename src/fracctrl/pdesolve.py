@@ -148,7 +148,8 @@ class StepSolver:
     the forward and the transposed (adjoint) sweeps on the same factors: the
     adjoint is the exact transpose of the forward map.  At shift 0 the build
     raises StabilityError unless dt*theta <= 1/2; a shift >= sup|v| makes
-    every M_n an M-matrix for any dt and needs no guard.
+    every M_n an M-matrix for any dt and needs no guard.  Any other shift is
+    a ValueError.
     spec, v and shift record what the factors were built for, so a solve_*
     handed steps= can refuse a solver built for other matrices.
 
@@ -159,6 +160,8 @@ class StepSolver:
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
+        if shift != 0.0 and not shift >= v.sup:
+            raise ValueError(f"shift {shift:.6g} must be 0 or at least sup|v| = {v.sup:.6g}")
         if shift == 0.0 and (margin := spec.grid.dt * v.theta) > STABILITY_MARGIN:
             raise StabilityError(
                 f"dt*theta = {margin:.6g} exceeds the stability margin {STABILITY_MARGIN}; "

@@ -92,8 +92,10 @@ class ProblemSpec:
         return spec
 
     def control_dot(self, a, b) -> float:
-        """Discrete L2(omega x (0,T)) inner product of control-shaped arrays."""
-        return self.grid.dx * self.grid.dt * float(np.sum(a * b))
+        """Discrete L2(omega x (0,T)) inner product of control-shaped arrays;
+        past the float range it is inf or NaN, with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.grid.dx * self.grid.dt * float(np.sum(a * b))
 
     def control_norm(self, a) -> float:
         return float(np.sqrt(self.control_dot(a, a)))

@@ -40,6 +40,8 @@ from fracctrl.verify import (
     sampled_vi_min,
 )
 
+from test_optimize import max_pairwise, uniqueness_tolerance
+
 
 def report(num, name, ok, detail):
     line = f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}"
@@ -244,24 +246,27 @@ def test_criterion_10_second_order_conditions():
     sufficient = check_coercivity(optimum, tau=1e-3 * spec.alpha, n_samples=64,
                                   seed=110)
     necessary = check_coercivity(optimum, tau=0.0, n_samples=64, seed=111)
-    ok = (sufficient.n_used > 0 and sufficient.min_quotient >= 0.5 * spec.alpha
-          and necessary.n_used > 0
-          and necessary.min_quotient >= -1e-8 * spec.alpha)
+    least_sufficient = sufficient.min() if sufficient.size else math.nan
+    least_necessary = necessary.min() if necessary.size else math.nan
+    ok = (sufficient.size > 0 and least_sufficient >= 0.5 * spec.alpha
+          and necessary.size > 0
+          and least_necessary >= -1e-8 * spec.alpha)
     report(10, "second-order conditions", ok,
            f"condition lhs {uniq.lhs:.4f} < alpha=1; critical-cone quotient "
-           f"{sufficient.min_quotient:.6f} >= 0.5; zero-cone quotient "
-           f"{necessary.min_quotient:.6f} >= -1e-8")
+           f"{least_sufficient:.6f} >= 0.5; zero-cone quotient "
+           f"{least_necessary:.6f} >= -1e-8")
 
 
 def test_criterion_11_local_uniqueness():
     spec = benchmark_problem()
-    rep = multistart_uniqueness(spec, 8, OptimOptions(kkt_tol=1e-8), seed=112)
+    runs = multistart_uniqueness(spec, 8, OptimOptions(kkt_tol=1e-8), seed=112)
+    spread, tolerance = max_pairwise(spec, runs), uniqueness_tolerance(spec)
     ok = (uniqueness_condition(spec).holds
-          and all(r.status == "converged" for r in rep.results)
-          and rep.max_pairwise <= rep.tolerance)
+          and all(r.status == "converged" for r in runs)
+          and spread <= tolerance)
     report(11, "local uniqueness", ok,
-           f"8 starts, max pairwise distance {rep.max_pairwise:.2e} "
-           f"<= {rep.tolerance:.2e}")
+           f"8 starts, max pairwise distance {spread:.2e} "
+           f"<= {tolerance:.2e}")
 
 
 def test_criterion_12_lipschitz_stability():

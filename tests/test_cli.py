@@ -361,6 +361,30 @@ class TestCommands:
         summary = read_kv(out / "summary.txt")
         assert (summary["status"], summary["iterations"], summary["cost"]) == ("failed", "0", "inf")
 
+    @pytest.mark.parametrize("argv,code", [
+        (["solve"], 0), (["solve", "--adjoint"], 0), (["adjoint"], 0), (["gradcheck"], 4),
+        (["verify", "--suite", "optimality"], 4),
+        # two suites run in workers, which issue their warnings again here
+        (["verify"], 4)],
+        ids=["solve", "solve-adjoint", "adjoint", "gradcheck", "verify-optimality", "verify"])
+    def test_every_command_on_data_past_the_float_range_ends_with_its_exit_code(
+            self, tmp_path, capsys, argv, code):
+        # norms, inner products and Hessian actions of the overflowing state
+        # read inf or NaN without a warning, so warnings as errors change nothing
+        config = tmp_path / "run.cfg"
+        config.write_text("problem.n = 15\nproblem.nt = 20\nproblem.rho0 = bump(1e200)\n"
+                          "verify.suites = derivatives,optimality\nverify.derivative_cases = 2\n"
+                          "verify.vi_samples = 10\nverify.coercivity_samples = 4\n"
+                          "verify.growth_samples = 4\nverify.starts = 2\n")
+        argv = argv + ["--config", str(config)]
+        if argv[0] != "gradcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        if argv[0] in ("solve", "adjoint"):
+            assert read_kv(tmp_path / "out" / "summary.txt")["tracking_error_l2"] == "inf"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out",
                      str(tmp_path / "out")])
@@ -709,3 +733,16 @@ class TestBadInput:
             return lines[:1] + [f"{2 * float(t)!r},{x},{v}" for t, x, v in rows]
         assert main(self._control_csv(tmp_path, stretch_time)) == 2
         assert "line 2: t,x is not the grid point" in capsys.readouterr().err
+
+
+def test_readme_library_quick_start_runs():
+    # README's library example in a fresh interpreter with every warning an
+    # error, as the suite runs, so an export it uses cannot go unnoticed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("converged ")

@@ -1,5 +1,7 @@
 """Projected gradient, fixed-point iteration, and the multistart probe."""
 
+import itertools
+import math
 import weakref
 from dataclasses import fields, replace
 
@@ -20,6 +22,18 @@ from fracctrl.pdesolve import ControlField, StepSolver, constant_control
 from fracctrl.problem import ProblemSpec, bump_profile
 
 from test_pdesolve import make_spec, random_control
+
+
+def max_pairwise(spec, runs):
+    """Largest L2(omega_T) distance between the final controls of runs."""
+    finals = [r.final.u.values for r in runs]
+    return np.max([spec.control_norm(a - b) for a, b in itertools.combinations(finals, 2)],
+                  initial=0.0)
+
+
+def uniqueness_tolerance(spec):
+    """The local-uniqueness tolerance 1e-6 (vmax - vmin) |omega_T|^(1/2)."""
+    return 1e-6 * (spec.vmax - spec.vmin) * math.sqrt(spec.grid.omega_measure * spec.grid.T)
 
 
 def small_benchmark(n=31, nt=40):
@@ -257,30 +271,30 @@ class TestMultistart:
     def test_convex_case_all_reach_zero(self):
         rng = np.random.default_rng(42)
         spec = make_spec(target=rng.standard_normal(18))
-        report = multistart_uniqueness(spec, 5, OptimOptions(kkt_tol=1e-10), seed=3)
-        assert all(r.status == "converged" for r in report.results)
-        assert report.max_pairwise <= 1e-8
+        runs = multistart_uniqueness(spec, 5, OptimOptions(kkt_tol=1e-10), seed=3)
+        assert all(r.status == "converged" for r in runs)
+        assert max_pairwise(spec, runs) <= 1e-8
 
     def test_small_data_assertion_mode(self):
         spec = small_benchmark()
-        report = multistart_uniqueness(spec, 4, OptimOptions(kkt_tol=1e-9), seed=4)
+        runs = multistart_uniqueness(spec, 4, OptimOptions(kkt_tol=1e-9), seed=4)
         assert uniqueness_condition(spec).holds
-        assert all(r.status == "converged" for r in report.results)
-        assert report.max_pairwise <= report.tolerance
+        assert all(r.status == "converged" for r in runs)
+        assert max_pairwise(spec, runs) <= uniqueness_tolerance(spec)
 
     def test_large_data_observational(self):
         rng = np.random.default_rng(43)
         spec = make_spec(T=2.0, nt=120, rho0=np.full(18, 1.0), target=np.full(18, 1.0))
-        report = multistart_uniqueness(spec, 2, OptimOptions(max_iters=5), seed=5)
+        runs = multistart_uniqueness(spec, 2, OptimOptions(max_iters=5), seed=5)
         assert not uniqueness_condition(spec).holds
-        assert len(report.results) == 2
+        assert len(runs) == 2
 
     def test_deterministic_under_seed(self):
         spec = small_benchmark()
         a = multistart_uniqueness(spec, 3, OptimOptions(), seed=9)
         b = multistart_uniqueness(spec, 3, OptimOptions(), seed=9)
-        assert a.max_pairwise == b.max_pairwise
-        for ra, rb in zip(a.results, b.results):
+        assert max_pairwise(spec, a) == max_pairwise(spec, b)
+        for ra, rb in zip(a, b):
             assert np.array_equal(ra.final.u.values, rb.final.u.values)
 
     def test_another_seed_draws_other_starts(self):
@@ -289,7 +303,7 @@ class TestMultistart:
         spec = small_benchmark()
         a, b = (multistart_uniqueness(spec, 2, OptimOptions(max_iters=0), seed)
                 for seed in (9, 10))
-        for ra, rb in zip(a.results, b.results):
+        for ra, rb in zip(a, b):
             assert not np.array_equal(ra.final.u.values, rb.final.u.values)
 
 

@@ -317,7 +317,7 @@ class TestDenseStepPath:
     factorizes each distinct level once."""
 
     @pytest.mark.parametrize("kind,shift", [("varying", 0.0), ("constant", 0.0),
-                                            ("varying", 0.7), ("blocks", 0.0),
+                                            ("varying", 1.0), ("blocks", 0.0),
                                             ("alternating", 0.0)])
     def test_solve_equals_checked_cholesky(self, kind, shift, monkeypatch):
         rng = np.random.default_rng(60)
@@ -347,11 +347,24 @@ class TestDenseStepPath:
             StepSolver(spec, v)
         StepSolver(spec, v, shift=v.sup)
 
+    @pytest.mark.parametrize("value", [3.0, 10.0])
+    def test_build_refuses_a_shift_below_the_control_sup(self, value):
+        # dt*theta = 5 at one level of dt = 1/2: only a shift of at least
+        # sup|v| keeps the step matrix an M-matrix; at 10 a shift of 1e-3
+        # leaves it indefinite and potrf fails
+        spec = make_spec(n=9, nt=1, box=(-10.0, 10.0))
+        v = constant_control(spec.grid, value, spec.vmin, spec.vmax)
+        for shift in (1e-3, -1.0, value * (1 - 1e-12)):
+            with pytest.raises(ValueError, match=rf"shift {shift:.6g} must be 0 or at least "
+                                                 rf"sup\|v\| = {value:.6g}$"):
+                StepSolver(spec, v, shift=shift)
+        StepSolver(spec, v, shift=value)
+
     def test_build_leaves_operator_matrix_unchanged(self):
         rng = np.random.default_rng(61)
         spec = make_spec(n=24, nt=6)
         before = spec.operator.matrix.copy()
-        StepSolver(spec, random_control(spec, rng), shift=0.5)
+        StepSolver(spec, random_control(spec, rng), shift=1.0)
         StepSolver(spec, constant_control(spec.grid, 0.4, spec.vmin, spec.vmax))
         assert np.array_equal(spec.operator.matrix, before)
 

@@ -354,15 +354,23 @@ class TestRules:
         assert not dataclasses.replace(check, value=0.0).passed
         assert not dataclasses.replace(check, value=-1e-300).passed
 
-    def test_inconclusive_coercivity_fails_its_bound(self):
+    def test_inconclusive_coercivity_fails_its_bound(self, monkeypatch):
         # away from a stationary point the gradient field is nonzero at every
         # window node, so all are strongly active and the sampled cone is {0};
-        # the NaN quotient reported then must fail
+        # the optimality suite reads that empty sample as NaN, which must fail
         spec = small_benchmark()
         u = constant_control(spec.grid, 0.5, spec.vmin, spec.vmax)
-        coercivity = check_coercivity(kkt_residual(spec, u), tau=0.0, n_samples=2)
-        assert coercivity.n_used == 0 and math.isnan(coercivity.min_quotient)
-        assert not _check(coercivity.min_quotient, lower=-1e-8).passed
+        empty = check_coercivity(kkt_residual(spec, u), tau=0.0, n_samples=2)
+        assert empty.size == 0
+        monkeypatch.setattr(verify, "check_coercivity", lambda *args, **kwargs: empty)
+        report = run_optimality_suite(SuiteConfig(spec=spec, seed=1, vi_samples=2,
+                                                  coercivity_samples=2, growth_samples=2,
+                                                  starts=2))
+        checks = {c.name: c for c in report.checks}
+        for name in ("second-order-necessary", "second-order-sufficient"):
+            assert math.isnan(checks[name].value)
+            assert not checks[name].passed
+            assert checks[name].detail.startswith("0 sampled")
 
     def test_nan_case_reaches_the_check_value(self, monkeypatch):
         # a worst-of over cases must keep a NaN case, wherever it falls:
