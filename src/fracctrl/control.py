@@ -140,33 +140,29 @@ def hessian_bilinear(e: Evaluation, w: np.ndarray, d: np.ndarray) -> float:
     return e.spec.control_dot(hessian_action(e, w[None])[0], d)
 
 
-def active_set(g: np.ndarray, tau: float) -> np.ndarray:
-    """Strongly active window points: |g| = |alpha*u + rho*q| strictly above tau."""
+def _at_bounds(e: Evaluation) -> tuple[np.ndarray, np.ndarray]:
+    """Where e.u sits at vmin and at vmax, within BOX_REL of the box width."""
+    tol = BOX_REL * (e.spec.vmax - e.spec.vmin)
+    return e.u.values - e.spec.vmin <= tol, e.spec.vmax - e.u.values <= tol
+
+
+def active_set(e: Evaluation, tau: float) -> np.ndarray:
+    """Strongly active window points of the evaluated control: e.u at a bound
+    and its gradient field e.g pointing out of the box by more than tau,
+    g > tau at vmin and g < -tau at vmax.  At a KKT point this is |g| > tau."""
     if tau < 0:
         raise ValueError(f"activity threshold must be nonnegative, got {tau}")
-    return np.abs(g) > tau
+    at_lower, at_upper = _at_bounds(e)
+    return (at_lower & (e.g > tau)) | (at_upper & (e.g < -tau))
 
 
-def critical_cone_project(spec: ProblemSpec, u: ControlField, tau: float, v: np.ndarray,
-                          g: np.ndarray) -> np.ndarray:
-    """Pointwise L2 projection of a direction onto the tau-critical cone of u,
-    whose gradient field is g.
-
-    Zero on the strongly active set; nonnegative part where the control sits
-    at the lower bound (off the active set), nonpositive part at the upper
-    bound; unchanged elsewhere.
-    """
-    active = active_set(g, tau)
-    box_tol = BOX_REL * (spec.vmax - spec.vmin)
-    at_lower = (u.values - spec.vmin) <= box_tol
-    at_upper = (spec.vmax - u.values) <= box_tol
-    out = np.asarray(v, dtype=float).copy()
-    lower_free = at_lower & ~active
-    upper_free = at_upper & ~active
-    out[lower_free] = np.maximum(out[lower_free], 0.0)
-    out[upper_free] = np.minimum(out[upper_free], 0.0)
-    out[active] = 0.0
-    return out
+def critical_cone_project(e: Evaluation, tau: float, v: np.ndarray) -> np.ndarray:
+    """Pointwise L2 projection onto the tau-critical cone of e.u of one
+    direction or of each of a (k, nt, n_omega) stack: zero on the strongly
+    active set, nonnegative where the control sits at the lower bound,
+    nonpositive at the upper bound, unchanged elsewhere."""
+    at_lower, at_upper = _at_bounds(e)
+    return np.where((at_lower & (v < 0)) | (at_upper & (v > 0)) | active_set(e, tau), 0.0, v)
 
 
 @dataclass
@@ -208,29 +204,17 @@ def check_coercivity(e: Evaluation, tau: float, n_samples: int, seed: int = 0) -
     """Hessian Rayleigh quotients J''(u)[v,v] / ||v||^2 of random directions
     projected into the tau-critical cone of the evaluated control e.u, one
     per direction kept; directions of norm below 1e-10 are dropped, and the
-    array is empty when none survives.  The kept directions share one block
-    Hessian action.
-
-    The activity threshold is floored at 1e-6 times the natural field
-    magnitude alpha*theta + sup|rho| sup|q|: at a numerically converged
-    interior point the gradient field is round-off noise rather than an
-    exact zero, and treating that noise as strong activity would collapse
-    the cone to {0}.
+    array is empty when none survives.  The samples are drawn and projected
+    as one stack, and the kept directions share one block Hessian action.
     """
     spec = e.spec
-    tau_eff = max(tau, 1e-6 * (spec.alpha * spec.theta + e.rho.linf() * e.q.linf()))
-    rng = np.random.default_rng(seed)
-    kept, norms = [], []
-    for _ in range(n_samples):
-        raw = rng.standard_normal(e.u.values.shape)
-        proj = critical_cone_project(spec, e.u, tau_eff, raw, e.g)
-        norm = spec.control_norm(proj)
-        if norm < 1e-10:
-            continue
-        kept.append(proj)
-        norms.append(norm)
-    if not kept:
+    raw = np.random.default_rng(seed).standard_normal((n_samples, *e.u.values.shape))
+    proj = critical_cone_project(e, tau, raw)
+    norms = np.array([spec.control_norm(d) for d in proj])
+    keep = ~(norms < 1e-10)  # a NaN norm is kept, so its quotient reads NaN
+    kept, norms = proj[keep], norms[keep]
+    if not norms.size:
         return np.empty(0)
     # every kept direction in one block action: one forward and one backward march
-    actions = hessian_action(e, np.stack(kept))
+    actions = hessian_action(e, kept)
     return np.array([spec.control_dot(h, d) / norm**2 for h, d, norm in zip(actions, kept, norms)])

@@ -13,7 +13,7 @@ for the matrix operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gamma, pi, sqrt
 
 import numpy as np

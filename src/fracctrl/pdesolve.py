@@ -36,7 +36,6 @@ from .fracop import (
     Grid,
     SolverError,
     cholesky_solve,
-    l2_norm,
     linf_norm,
     v_seminorm,
     vstar_norm,

@@ -20,6 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .control import (
+    Evaluation,
+    active_set,
     check_coercivity,
     cost,
     hessian_action,
@@ -769,14 +771,25 @@ def run_lipschitz_suite(cfg: SuiteConfig) -> VerifyReport:
     return report
 
 
-def sampled_vi_min(spec: ProblemSpec, u: ControlField, g: np.ndarray,
-                   n_samples: int, rng) -> float:
-    """Minimum of <g, v-u> over random admissible v (first-order inequality)."""
+def sampled_vi_min(e: Evaluation, n_samples: int, rng) -> float:
+    """Minimum of <e.g, v - e.u> over random admissible v (first-order inequality)."""
     worst = math.inf
     for _ in range(n_samples):
-        v = random_admissible(spec, rng)
-        worst = np.minimum(worst, spec.control_dot(g, v.values - u.values))
+        v = random_admissible(e.spec, rng)
+        worst = np.minimum(worst, e.spec.control_dot(e.g, v.values - e.u.values))
     return worst
+
+
+def _least_quotient(e: Evaluation, tau: float, quotients: np.ndarray) -> tuple[float, str]:
+    """The least sampled quotient on the tau-critical cone, and a note for the
+    detail.  An empty sample reads inf, the minimum over an empty set, where
+    every point is strongly active and the cone is {0}; anywhere else it is
+    inconclusive and reads NaN, which fails every bound."""
+    if quotients.size:
+        return np.min(quotients), ""
+    if active_set(e, tau).all():
+        return math.inf, "; every point is strongly active, so the cone is {0}"
+    return math.nan, ""
 
 
 def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
@@ -793,7 +806,7 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     report.add("optimizer-converged", optimum.residual, upper=opts.kkt_tol,
                detail=f"status={result.status} after {result.iterations} iterations")
 
-    vi = sampled_vi_min(spec, optimum.u, optimum.g, cfg.vi_samples, rng)
+    vi = sampled_vi_min(optimum, cfg.vi_samples, rng)
     report.add("variational-inequality", vi, lower=-1e-8,
                detail=f"{cfg.vi_samples} random admissible controls")
 
@@ -805,19 +818,19 @@ def run_optimality_suite(cfg: SuiteConfig) -> VerifyReport:
     # a failed smallness condition leaves sufficiency and uniqueness report-only
     observed = None if uniq.holds else "smallness condition fails; observational only"
 
-    # the least sampled quotient; a sample in which no direction survives
-    # reads NaN, which fails every bound
     necessary = check_coercivity(optimum, tau=0.0,
                                  n_samples=cfg.coercivity_samples, seed=cfg.seed + 2)
-    report.add("second-order-necessary", np.min(necessary) if necessary.size else math.nan,
-               lower=-1e-8 * spec.alpha,
-               detail=f"{necessary.size} sampled directions on the tau = 0 critical cone")
+    least, note = _least_quotient(optimum, 0.0, necessary)
+    report.add("second-order-necessary", least, lower=-1e-8 * spec.alpha,
+               detail=f"{necessary.size} sampled directions on the tau = 0 critical cone{note}")
 
-    sufficient = check_coercivity(optimum, tau=1e-3 * spec.alpha,
+    tau = 1e-3 * spec.alpha
+    sufficient = check_coercivity(optimum, tau=tau,
                                   n_samples=cfg.coercivity_samples, seed=cfg.seed + 3)
-    report.add("second-order-sufficient", np.min(sufficient) if sufficient.size else math.nan,
+    least, note = _least_quotient(optimum, tau, sufficient)
+    report.add("second-order-sufficient", least,
                lower=-math.inf if observed else 0.5 * spec.alpha,
-               detail=observed or f"{sufficient.size} sampled critical directions")
+               detail=observed or f"{sufficient.size} sampled critical directions{note}")
 
     j_star = optimum.j
     gamma = 0.1 * (spec.vmax - spec.vmin)

@@ -206,7 +206,7 @@ def test_criterion_08_kkt_projection():
                             opts)
     kkt = kkt_residual(spec, pg.final.u, rho=pg.final.rho)
     rng = np.random.default_rng(108)
-    vi = sampled_vi_min(spec, pg.final.u, kkt.g, 100, rng)
+    vi = sampled_vi_min(kkt, 100, rng)
     fp = fixed_point(spec, constant_control(spec.grid, -0.2, spec.vmin, spec.vmax),
                      OptimOptions(kkt_tol=1e-8))
     agree = spec.control_norm(pg.final.u.values - fp.final.u.values)

@@ -454,6 +454,22 @@ class TestCommands:
                         + (out / "report.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("m,M", [(0, 1), (0, 1e-4), (-1e-4, 0), (-1e-4, 1e-4)])
+    def test_optimality_passes_where_the_box_binds(self, tmp_path, capsys, m, M):
+        # at the optimum every window point sits at the box; where all are
+        # strongly active the tau = 0 cone is {0} and the necessary condition
+        # holds with nothing to sample
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY + f"problem.m = {m}\nproblem.M = {M}\n")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(config), "--suite", "optimality",
+                     "--out", str(out)])
+        text = (out / "report.txt").read_text()
+        assert code == 0, text
+        assert "overall: pass (10/10)" in text
+        assert "second-order-necessary: value=inf" in text
+        assert "the cone is {0}" in text
+
     def test_estimate_reports_byte_identical_under_one_and_two_blas_threads(self, tmp_path):
         # the suite's energy and dual norms sum in numpy, not in threaded BLAS
         config = tmp_path / "run.cfg"

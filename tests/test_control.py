@@ -473,52 +473,50 @@ class TestActiveSetAndCone:
         rng = np.random.default_rng(30)
         spec = make_spec(rho0=rng.standard_normal(18))
         u = random_control(spec, rng)
-        g, _, _ = gradient(spec, u)
-        assert not active_set(g, np.inf).any()
+        assert not active_set(kkt_residual(spec, u), np.inf).any()
 
     def test_zero_gradient_strict_inequality(self):
         spec = make_spec()
         u = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
-        g, _, _ = gradient(spec, u)
-        assert not active_set(g, 0.0).any()
+        assert not active_set(kkt_residual(spec, u), 0.0).any()
 
     def test_negative_threshold_rejected(self):
+        spec = make_spec()
+        e = kkt_residual(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax))
         with pytest.raises(ValueError):
-            active_set(np.zeros((4, 3)), -1.0)
+            active_set(e, -1.0)
 
     def test_interior_control_identity_map(self):
         rng = np.random.default_rng(31)
         spec = make_spec()
         u = constant_control(spec.grid, 0.2, spec.vmin, spec.vmax)  # strictly interior
         v = rng.standard_normal(u.values.shape)
-        g, _, _ = gradient(spec, u)
-        out = critical_cone_project(spec, u, np.inf, v, g)
+        out = critical_cone_project(kkt_residual(spec, u), np.inf, v)
         assert np.array_equal(out, v)
 
     def test_lower_bound_sign_condition(self):
         spec = make_spec()
         u = constant_control(spec.grid, spec.vmin, spec.vmin, spec.vmax)
-        g, _, _ = gradient(spec, u)
+        e = kkt_residual(spec, u)
         v = -np.ones(u.values.shape)
-        out = critical_cone_project(spec, u, np.inf, v, g)
+        out = critical_cone_project(e, np.inf, v)
         assert np.array_equal(out, np.zeros_like(v))
         v2 = np.ones(u.values.shape)
-        assert np.array_equal(critical_cone_project(spec, u, np.inf, v2, g), v2)
+        assert np.array_equal(critical_cone_project(e, np.inf, v2), v2)
 
     def test_member_returned_unchanged(self):
         rng = np.random.default_rng(32)
         spec = make_spec()
         u = constant_control(spec.grid, spec.vmax, spec.vmin, spec.vmax)
         v = -np.abs(rng.standard_normal(u.values.shape))  # already in the cone
-        g, _, _ = gradient(spec, u)
-        out = critical_cone_project(spec, u, np.inf, v, g)
+        out = critical_cone_project(kkt_residual(spec, u), np.inf, v)
         assert np.array_equal(out, v)
 
 
 def test_active_set_confined_to_clipped_region():
     # tight box cutting through the unconstrained optimum: about a third of
-    # the window clips at the lower bound; the strongly active set is
-    # nonempty and lies inside the clipped region
+    # the window clips at the lower bound; the strongly active set at tau = 0
+    # is nonempty and lies inside the clipped region
     from fracctrl.optimize import OptimOptions, projected_gradient
     from fracctrl.problem import bump_profile
     from fracctrl.fracop import Grid
@@ -535,8 +533,7 @@ def test_active_set_confined_to_clipped_region():
                | (spec.vmax - u.values <= box_tol))
     assert clipped.any() and not clipped.all()
     rep = kkt_residual(spec, u, rho=res.final.rho)
-    tau = 1e-6 * (spec.alpha * spec.theta + res.final.rho.linf() * res.final.q.linf())
-    mask = active_set(rep.g, tau)
+    mask = active_set(rep, 0.0)
     assert mask.any() and not mask.all()
     assert np.all(~mask | clipped)
 
@@ -619,12 +616,32 @@ class TestCoercivity:
         assert quotients.min() == pytest.approx(spec.alpha, rel=1e-12)
         assert quotients == pytest.approx(np.full(16, spec.alpha), rel=1e-12)
 
+    def test_stacked_sample_is_the_sequential_loop(self):
+        # one draw, projection and Hessian pairing per direction give the
+        # quotients of the stacked sample bit for bit; the control sits at
+        # either bound on a third of the window, so the cone has strongly
+        # active, sign-constrained and free points
+        rng = np.random.default_rng(35)
+        spec = make_spec(rho0=rng.standard_normal(18), target=rng.standard_normal(18),
+                         alpha=1e-3)
+        vals = rng.uniform(-1.0, 1.0, (spec.grid.nt, spec.grid.n_omega))
+        vals[rng.random(vals.shape) < 1 / 3] = -1.0
+        vals[rng.random(vals.shape) < 1 / 6] = 1.0
+        e = kkt_residual(spec, constant_control(spec.grid, 0.0, -1.0, 1.0).like(vals))
+        draws, expected = np.random.default_rng(3), []
+        for _ in range(8):
+            d = critical_cone_project(e, 0.0, draws.standard_normal(vals.shape))
+            expected.append(hessian_bilinear(e, d, d) / spec.control_norm(d)**2)
+        active = active_set(e, 0.0)
+        assert active.any() and not active.all()
+        assert np.array_equal(check_coercivity(e, 0.0, 8, seed=3), expected)
+
     def test_degenerate_cone_reported_inconclusive(self):
-        # positive data make g = rho*q > 0 everywhere, far above the activity
-        # floor, so every window point is strongly active; the cone collapses
-        # to {0} and the check must return no quotient rather than fail
+        # on the box [0, 1] at u = 0, positive data make g = rho*q > 0
+        # everywhere, so every window point is strongly active; the cone
+        # collapses to {0} and the check must return no quotient rather than fail
         rng = np.random.default_rng(34)
-        spec = make_spec(rho0=0.1 * np.abs(rng.standard_normal(18)) + 0.01)
+        spec = make_spec(rho0=0.1 * np.abs(rng.standard_normal(18)) + 0.01, box=(0.0, 1.0))
         u = constant_control(spec.grid, 0.0, spec.vmin, spec.vmax)
         quotients = check_coercivity(kkt_residual(spec, u), tau=0.0, n_samples=4, seed=2)
         assert isinstance(quotients, np.ndarray) and quotients.shape == (0,)

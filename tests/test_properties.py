@@ -3,7 +3,8 @@
 Every instance keeps dt*theta <= 1/2, so each step matrix is an M-matrix and
 the forward and adjoint sweeps share its exact Cholesky factors.  One
 property runs both optimizers a few steps and re-evaluates the control they
-return.  Another covers the CLI config text: serializing then parsing any
+return, and one projects stacks of directions onto the critical cone of an
+evaluated control.  Another covers the CLI config text: serializing then parsing any
 valid config gives it back.  The last checks that a failing property is
 reported like any failing test and the run goes on.
 """
@@ -26,7 +27,7 @@ from fracctrl.cli import (
     parse_config,
     serialize_config,
 )
-from fracctrl.control import kkt_residual
+from fracctrl.control import BOX_REL, active_set, critical_cone_project, kkt_residual
 from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
 from fracctrl.pdesolve import (
     ControlField,
@@ -138,6 +139,30 @@ def test_optimizer_result_is_its_final_evaluation(instance, driver, max_iters):
     assert fresh.j == result.j_final == result.j_history[-1]
     assert fresh.residual == result.kkt_final == result.kkt_history[-1]
     assert result.iterations <= max_iters
+
+
+@given(instances(), st.integers(1, 4), st.sampled_from([0.0, 0.5]))
+def test_critical_cone_projection(instance, k, quantile):
+    # tau is the least or the median |g|; a bang-bang control puts every
+    # point at a bound, so there the strongly active set is seldom empty
+    _, spec, v, rng = build(*instance)
+    e = kkt_residual(spec, v)
+    tau = float(np.quantile(np.abs(e.g), quantile))
+    stack = rng.standard_normal((k, *v.values.shape))
+    proj = critical_cone_project(e, tau, stack)
+    assert np.array_equal(critical_cone_project(e, tau, proj), proj)
+    for d, p in zip(stack, proj):
+        assert np.array_equal(critical_cone_project(e, tau, d), p)
+    box_tol = BOX_REL * (spec.vmax - spec.vmin)
+    at_lower = v.values - spec.vmin <= box_tol
+    at_upper = spec.vmax - v.values <= box_tol
+    active = active_set(e, tau)
+    # a member of the cone: zero where strongly active, signed at the bounds
+    assert np.all(proj[:, active] == 0.0)
+    assert np.all(proj[:, at_lower] >= 0.0) and np.all(proj[:, at_upper] <= 0.0)
+    # strongly active only at the bound the gradient field points out of
+    assert np.all(at_lower[active & (e.g > 0)]) and np.all(at_upper[active & (e.g < 0)])
+    assert not np.any(active & (np.abs(e.g) <= tau))
 
 
 def _finite(lo=None, hi=None, **kw):
