@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from math import gamma, pi, sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor, toeplitz
-from scipy.linalg.lapack import dpotrs
 
 
 class InvalidOrderError(ValueError):
@@ -145,16 +143,13 @@ class FractionalOperator:
         self.n = int(n)
         self.dx = float(dx)
         self.g = assemble_weights(s, n)
-        self.matrix = dx ** (-2.0 * s) * toeplitz(self.g)
+        i = np.arange(n)
+        self.matrix = dx ** (-2.0 * s) * self.g[np.abs(i[:, None] - i)]
         self._cho = None
 
     def _factor(self):
         if self._cho is None:
-            try:
-                self._cho, _ = cho_factor(np.array(self.matrix, order="F"), overwrite_a=True,
-                                          check_finite=False)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-                raise SolverError(f"operator factorization failed: {exc}") from exc
+            self._cho = cho_factor(np.array(self.matrix, order="F"))
         return self._cho
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -167,11 +162,39 @@ class FractionalOperator:
         return cholesky_solve(self._factor(), np.asarray(f, dtype=float))
 
 
+# scipy's LAPACK potrf and potrs, bound by _bind_lapack at the first
+# factorization or solve: importing scipy.linalg takes longer than importing
+# numpy, and a process that never factors (the parent of verify's workers)
+# should not pay for it.
+_potrf = _potrs = None
+
+
+def _bind_lapack() -> None:
+    global _potrf, _potrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    _potrf, _potrs = dpotrf, dpotrs
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the SPD matrix a, computed in place by LAPACK
+    potrf when a is a Fortran-ordered float array.  The strict lower
+    triangle keeps a's entries: potrs never reads it.  a is not scanned for
+    non-finite entries: callers pass data validated where it was built."""
+    if _potrf is None:
+        _bind_lapack()
+    c, info = _potrf(a, lower=0, clean=0, overwrite_a=1)
+    if info != 0:  # pragma: no cover - SPD by construction
+        raise SolverError(f"Cholesky factorization failed (potrf info={info})")
+    return c
+
+
 def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with the upper Cholesky factor that cho_factor returns, straight
     through LAPACK potrs.  Neither the factor nor rhs is scanned for
     non-finite entries: callers pass data validated where it was built."""
-    x, info = dpotrs(factor, rhs)
+    if _potrs is None:
+        _bind_lapack()
+    x, info = _potrs(factor, rhs)
     if info != 0:  # pragma: no cover - only an illegal argument sets it
         raise SolverError(f"Cholesky solve failed (potrs info={info})")
     return x

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .fracop import (
     FractionalOperator,
     Grid,
     SolverError,
+    cho_factor,
     cholesky_solve,
     linf_norm,
     v_seminorm,
@@ -173,16 +173,13 @@ class StepSolver:
         idx = grid.omega_indices
         by_row = {}
         self._factors = []  # the factor of each level 1..nt
-        try:
-            for row in v.values:
-                if (key := row.tobytes()) not in by_row:
-                    # Fortran order lets potrf overwrite this copy with its factor
-                    M = base.copy(order="F")
-                    M[idx, idx] -= dt * row
-                    by_row[key] = cho_factor(M, overwrite_a=True, check_finite=False)[0]
-                self._factors.append(by_row[key])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-            raise SolverError(f"step matrix factorization failed: {exc}") from exc
+        for row in v.values:
+            if (key := row.tobytes()) not in by_row:
+                # Fortran order lets potrf overwrite this copy with its factor
+                M = base.copy(order="F")
+                M[idx, idx] -= dt * row
+                by_row[key] = cho_factor(M)
+            self._factors.append(by_row[key])
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""

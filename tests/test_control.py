@@ -11,7 +11,6 @@ from fracctrl.control import (
     active_set,
     check_coercivity,
     cost,
-    cost_from_state,
     critical_cone_project,
     gradient,
     hessian_action,

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import fracctrl
 from fracctrl.fracop import (
-    FractionalOperator,
     Grid,
     InvalidOrderError,
     assemble_operator,
@@ -28,6 +28,15 @@ from fracctrl.fracop import (
 def closed_form_constant(s):
     """Value of the operator on (1-x^2)^s_+ over (-1,1): a known constant."""
     return 2.0**(2 * s) * math.gamma(s + 1) * math.gamma(s + 0.5) / math.gamma(0.5)
+
+
+def in_fresh_interpreter(script):
+    """The words script prints, run by a fresh interpreter on this fracctrl:
+    another test may already have loaded a module into this one."""
+    src = Path(fracctrl.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
 
 
 def make_grid(n, a=-1.0, b=1.0, T=1.0, nt=4, window=None):
@@ -107,6 +116,15 @@ class TestOperator:
         assert op.matrix.shape == (1, 1)
         assert op.matrix[0, 0] == pytest.approx(grid.dx**-1.0 * g0)
         assert op.matrix[0, 0] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 127, 1023])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.93])
+    def test_matrix_is_scipy_toeplitz_bit_for_bit(self, n, s):
+        grid = make_grid(n)
+        op = assemble_operator(grid, s)
+        expected = grid.dx ** (-2.0 * s) * toeplitz(assemble_weights(s, n))
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert op.matrix.flags.c_contiguous
 
     def test_exact_symmetry(self):
         op = assemble_operator(make_grid(40), 0.7)
@@ -192,11 +210,7 @@ class TestQuadratureOracle:
                   "print('scipy.integrate' in sys.modules)\n"
                   "fracctrl.quadrature_oracle(lambda y: 1.0 - y * y, 0.0, 0.5, 1e-3)\n"
                   "print('scipy.integrate' in sys.modules)\n")
-        src = Path(fracctrl.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.split() == ["False", "True"]
+        assert in_fresh_interpreter(script) == ["False", "True"]
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_agreement_with_matrix_operator(self, s):
@@ -219,6 +233,32 @@ class TestQuadratureOracle:
             if prev is not None:
                 assert worst < prev
             prev = worst
+
+
+class TestImportFootprint:
+    """Importing fracctrl loads numpy only; scipy's LAPACK loads at the first
+    factorization or solve."""
+
+    def test_lapack_loads_on_first_solve(self):
+        script = ("import sys, fracctrl, fracctrl.cli, fracctrl.verify\n"
+                  "from fracctrl.pdesolve import constant_control\n"
+                  "print('scipy.linalg' in sys.modules)\n"
+                  "spec = fracctrl.benchmark_problem(n=9, nt=4)\n"
+                  "print('scipy.linalg' in sys.modules)\n"
+                  "fracctrl.solve_state(spec, constant_control(spec.grid, 0.3, spec.vmin, "
+                  "spec.vmax))\n"
+                  "print('scipy.linalg' in sys.modules)\n")
+        assert in_fresh_interpreter(script) == ["False", "False", "True"]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="on one usable CPU run_all starts no workers")
+    def test_verify_workers_leave_the_parent_without_lapack(self):
+        script = ("import sys\n"
+                  "from fracctrl.verify import SuiteConfig, run_all\n"
+                  "report = run_all(SuiteConfig(suites=('operator', 'derivatives'), "
+                  "derivative_cases=2))\n"
+                  "print(report.passed, 'scipy.linalg' in sys.modules)\n")
+        assert in_fresh_interpreter(script) == ["True", "False"]
 
 
 class TestNorms:
