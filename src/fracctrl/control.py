@@ -128,7 +128,9 @@ def hessian_action(e: Evaluation, directions: np.ndarray) -> np.ndarray:
     y = solve_linearized(spec, e.u, directions, e.rho, steps=e.steps)
     w = np.moveaxis(directions, 0, -1)  # (nt, n_omega, k)
     rho, q = e.rho.restrict_omega()[..., None], e.q.restrict_omega()[..., None]
-    p = e.steps.march(y.final, window_source(grid, w * q), backward=True)
+    with np.errstate(over="ignore"):  # past the float range; march names the level it spoils
+        source = window_source(grid, w * q)
+    p = e.steps.march(y.final, source, backward=True)
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range h is inf or NaN
         h = spec.alpha * w + y.restrict_omega() * q + rho * p.restrict_omega()
     return np.ascontiguousarray(np.moveaxis(h, -1, 0))

@@ -27,6 +27,14 @@ class SolverError(RuntimeError):
     """Internal numerical failure (cannot occur for the SPD matrices built here)."""
 
 
+def _check_nodes(a: float, b: float, n: int) -> None:
+    """What the nodes a + i*(b-a)/(n+1), i = 1..n, need: finite a < b, n >= 1."""
+    if not -np.inf < a < b < np.inf:
+        raise ValueError(f"domain endpoints must be finite with a < b, got ({a}, {b})")
+    if n < 1:
+        raise ValueError(f"need at least one interior node, got n={n}")
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform grid on (a, b) with n interior nodes and nt implicit time levels.
@@ -51,11 +59,7 @@ class Grid:
                 and np.array_equal(self.omega_mask, other.omega_mask))
 
     def __post_init__(self):
-        if not -np.inf < self.a < self.b < np.inf:
-            raise ValueError(f"domain endpoints must be finite with a < b, "
-                             f"got ({self.a}, {self.b})")
-        if self.n < 1:
-            raise ValueError(f"need at least one interior node, got n={self.n}")
+        _check_nodes(self.a, self.b, self.n)
         if self.nt < 1:
             raise ValueError(f"need at least one time step, got nt={self.nt}")
         if not 0 < self.T < np.inf:
@@ -95,6 +99,7 @@ class Grid:
     @classmethod
     def from_window(cls, a, b, n, window, T, nt) -> "Grid":
         """Build a grid whose omega_mask marks nodes inside the open window."""
+        _check_nodes(a, b, n)  # before the nodes: an infinite end makes them NaN
         wa, wb = window
         dx = (b - a) / (n + 1)
         x = a + dx * np.arange(1, n + 1)

@@ -25,6 +25,7 @@ trajectory once, raising SolverError that names the first non-finite level.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import sqrt
 
@@ -139,6 +140,17 @@ def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlFiel
     return ControlField(vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
 
 
+# The factor block of the last StepSolver to die, keyed by its shape: one
+# slot, which the next build takes when it needs exactly that shape and drops
+# otherwise.  Factor memory is reused instead of faulted in afresh.
+_spare: dict[tuple, np.ndarray] = {}
+
+
+def _keep_spare(block: np.ndarray) -> None:
+    _spare.clear()
+    _spare[block.shape] = block
+
+
 class StepSolver:
     """Cholesky factors of the step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
 
@@ -156,6 +168,13 @@ class StepSolver:
     when they were built, so each factor is computed in place by potrf and
     each solve is one potrs call, neither scanning for non-finite entries.
     march checks the trajectory it assembles.
+
+    A build's m distinct factors live in one (m, n, n) block.  When a solver
+    dies its block becomes the module's one spare; the next build of exactly
+    that shape takes it instead of faulting in fresh pages, and a build of
+    any other shape drops it first.  Live solvers never share memory.  The
+    cost is one dead block kept after a process's last build, m*n*n*8
+    bytes: at most nt*n*n*8, 1.67 GB at n = 1023, nt = 200.
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
@@ -171,15 +190,23 @@ class StepSolver:
         dt = grid.dt
         base = np.asfortranarray(np.eye(grid.n) + dt * (spec.operator.matrix + shift * np.eye(grid.n)))
         idx = grid.omega_indices
-        by_row = {}
-        self._factors = []  # the factor of each level 1..nt
+        rows = {}  # the distinct rows by their bytes, in level order
         for row in v.values:
-            if (key := row.tobytes()) not in by_row:
-                # Fortran order lets potrf overwrite this copy with its factor
-                M = base.copy(order="F")
-                M[idx, idx] -= dt * row
-                by_row[key] = cho_factor(M)
-            self._factors.append(by_row[key])
+            rows.setdefault(row.tobytes(), row)
+        shape = (len(rows), grid.n, grid.n)
+        block = _spare.pop(shape, None)
+        _spare.clear()  # a spare of another shape goes before this build allocates
+        if block is None:
+            block = np.empty(shape)
+        # block[j] is C-contiguous, so M = block[j].T is the Fortran layout in
+        # which potrf overwrites M with its factor
+        by_row = {}
+        for (key, row), M in zip(rows.items(), block.transpose(0, 2, 1)):
+            M[...] = base
+            M[idx, idx] -= dt * row
+            by_row[key] = cho_factor(M)
+        self._factors = [by_row[row.tobytes()] for row in v.values]  # levels 1..nt
+        weakref.finalize(self, _keep_spare, block).atexit = False
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""
@@ -209,10 +236,11 @@ class StepSolver:
             raise ValueError(f"march needs init (n,) or (n, k) and source (nt,) + init's shape, "
                              f"n={grid.n}, nt={grid.nt}; got init {cur.shape} and source {shape}")
         out = np.empty((grid.nt + 1,) + cur.shape)
-        for k in levels:
-            rhs = cur if source is None else cur + dt * source[k - 1]
-            cur = self.solve(k, rhs)
-            out[k] = cur
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite level is named below
+            for k in levels:
+                rhs = cur if source is None else cur + dt * source[k - 1]
+                cur = self.solve(k, rhs)
+                out[k] = cur
         finite = np.isfinite(out).reshape(grid.nt + 1, -1).all(axis=1)
         for k in levels:
             if not finite[k]:
@@ -312,8 +340,10 @@ def solve_linearized(spec: ProblemSpec, v: ControlField, w,
     grid = spec.grid
     if rho.grid != grid:
         raise ValueError("state trajectory was computed on a different grid")
-    # (k, nt, n_omega) -> (nt, n_omega, k), against rho's (nt, n_omega, 1)
-    source = np.moveaxis(direction_stack(grid, w), 0, -1) * rho.restrict_omega()[..., None]
+    # (k, nt, n_omega) -> (nt, n_omega, k), against rho's (nt, n_omega, 1); past
+    # the float range the source is inf, and march names the level it spoils
+    with np.errstate(over="ignore"):
+        source = np.moveaxis(direction_stack(grid, w), 0, -1) * rho.restrict_omega()[..., None]
     return _steps_for(spec, v, steps).march(np.zeros((grid.n, source.shape[2])),
                                             window_source(grid, source))
 

@@ -385,6 +385,42 @@ class TestCommands:
         if argv[0] in ("solve", "adjoint"):
             assert read_kv(tmp_path / "out" / "summary.txt")["tracking_error_l2"] == "inf"
 
+    @pytest.mark.parametrize("line,message", [
+        ("problem.a = -inf", "domain endpoints must be finite with a < b, got (-inf, 1.0)"),
+        ("problem.b = inf", "domain endpoints must be finite with a < b, got (-1.0, inf)"),
+        ("problem.n = -1", "need at least one interior node, got n=-1")])
+    def test_bad_grid_is_a_config_error_under_warnings_as_errors(self, tmp_path, capsys,
+                                                                   line, message):
+        # the grid is refused before its nodes are computed, so an infinite
+        # end (NaN nodes) or n = -1 (spacing (b-a)/0) never reaches numpy
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--suite", "optimality", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (2, f"config error: {message}\n")
+
+    @pytest.mark.parametrize("lines,message", [
+        ("problem.alpha = 1e308\nproblem.rhod = bump(-1e308)\noptimizer.method = fp\n",
+         "non-finite multiplier at level 5"),
+        ("problem.rho0 = bump(-1e308)\n", "non-finite state at level 1")],
+        ids=["second-order-adjoint", "linearized"])
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_hessian_past_the_float_range_is_an_internal_error_under_any_filter(
+            self, tmp_path, capsys, lines, message, action):
+        # the Hessian's linearized source w*rho or second-order source w*q
+        # overflows; the march names the first non-finite level, exit 5, and
+        # nothing warns, so warnings as errors change neither code nor stderr
+        config = tmp_path / "run.cfg"
+        config.write_text("problem.n = 5\nproblem.nt = 5\n" + lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(["verify", "--suite", "optimality", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (5, f"internal error: {message}\n")
+        assert caught == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out",
                      str(tmp_path / "out")])

@@ -2,12 +2,14 @@
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from fracctrl import pdesolve
+from fracctrl.control import kkt_residual
 from fracctrl.fracop import Grid, SolverError
 from fracctrl.pdesolve import (
     ControlField,
@@ -511,6 +513,85 @@ class TestSharedSteps:
         for call in calls:
             with pytest.raises(ValueError, match="steps must be StepSolver"):
                 call()
+
+
+def shares_factors(a, b):
+    return any(np.shares_memory(x, y) for x in a._factors for y in b._factors)
+
+
+class TestSpareBlock:
+    """A build's factors are one block; a dead solver's block is the one
+    spare, which the next build of its shape takes and any other build
+    drops.  Each test starts from an empty spare of its own."""
+
+    @pytest.fixture(autouse=True)
+    def empty_spare(self, monkeypatch):
+        monkeypatch.setattr(pdesolve, "_spare", {})
+
+    def test_live_solvers_never_share_factor_memory(self):
+        rng = np.random.default_rng(67)
+        spec = make_spec(n=24, nt=8, rho0=rng.standard_normal(24))
+        u, cand = random_control(spec, rng), random_control(spec, rng)
+        dead = StepSolver(spec, u)
+        first = dead._factors[0]
+        del dead
+        # the evaluation's factors take the dead block; an Armijo-style
+        # trial built while they live gets memory of its own, and so does
+        # the trial after it, which takes the first trial's block
+        e = kkt_residual(spec, u)
+        held = e.steps
+        assert np.shares_memory(held._factors[0], first)
+        trial = StepSolver(spec, cand)
+        assert not shares_factors(held, trial)
+        second = trial._factors[0]
+        del trial
+        trial = StepSolver(spec, random_control(spec, rng))
+        assert np.shares_memory(trial._factors[0], second)
+        assert not shares_factors(held, trial)
+        assert not shares_factors(StepSolver(spec, cand), trial)
+
+    @pytest.mark.parametrize("shift", ["zero", "sup"])
+    @pytest.mark.parametrize("kind", ["varying", "constant", "signed-zero"])
+    def test_a_reused_block_marches_as_fresh_memory(self, kind, shift):
+        # the dead block holds another shift's factors of the same shape;
+        # the build overwrites all of it, so every march is bitwise the same
+        rng = np.random.default_rng(68)
+        spec = make_spec(n=24, nt=8, rho0=rng.standard_normal(24))
+        if kind == "signed-zero":
+            vals = np.zeros((8, spec.grid.n_omega))
+            vals[::3] = -0.0  # two distinct levels of equal values
+            v = ControlField(vals, spec.grid, spec.vmin, spec.vmax)
+        else:
+            v = step_control(kind, spec, rng)
+        r = 0.0 if shift == "zero" else v.sup
+        terminal, source = rng.standard_normal(24), rng.standard_normal((8, 24))
+        fresh = StepSolver(spec, v, shift=r)
+        marches = [fresh.march(spec.rho0), fresh.march(terminal, source, backward=True)]
+        dirty = StepSolver(spec, v, shift=v.sup + 1.0)
+        block = dirty._factors[0].base
+        del fresh, dirty
+        assert list(pdesolve._spare) == [block.shape]
+        reused = StepSolver(spec, v, shift=r)
+        assert np.shares_memory(reused._factors[0], block) and not pdesolve._spare
+        assert len(block) == {"varying": 8, "constant": 1, "signed-zero": 2}[kind]
+        again = [reused.march(spec.rho0), reused.march(terminal, source, backward=True)]
+        for a, b in zip(marches, again):
+            assert np.array_equal(a.values, b.values)
+
+    def test_a_build_of_another_shape_drops_the_spare(self):
+        rng = np.random.default_rng(69)
+        spec = make_spec(n=24, nt=8)
+        steps = StepSolver(spec, random_control(spec, rng))
+        old = weakref.ref(steps._factors[0].base)
+        del steps
+        assert old() is not None and list(pdesolve._spare) == [(8, 24, 24)]
+        other = StepSolver(spec, constant_control(spec.grid, 0.4, spec.vmin, spec.vmax))
+        assert old() is None and not pdesolve._spare
+        del other
+        assert list(pdesolve._spare) == [(1, 24, 24)]
+        smaller = make_spec(n=20, nt=8)
+        StepSolver(smaller, constant_control(smaller.grid, 0.4, smaller.vmin, smaller.vmax))
+        assert list(pdesolve._spare) == [(1, 20, 20)]
 
 
 class TestFieldContainers:

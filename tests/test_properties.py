@@ -5,17 +5,22 @@ the forward and adjoint sweeps share its exact Cholesky factors.  One
 property runs both optimizers a few steps and re-evaluates the control they
 return, and one projects stacks of directions onto the critical cone of an
 evaluated control.  Another covers the CLI config text: serializing then parsing any
-valid config gives it back.  The last checks that a failing property is
-reported like any failing test and the run goes on.
+valid config gives it back; another runs the CLI on configs, commands and
+control sources at the edges of the float range and checks its exit-code
+contract.  The last checks that a failing property is reported like any
+failing test and the run goes on.
 """
 
+import io
 import subprocess
 import sys
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fracctrl.cli import (
@@ -209,6 +214,81 @@ def run_configs(draw):
 @given(run_configs())
 def test_config_round_trip(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# The exit-code contract under hostile input: a small instance (n = nt = 5,
+# every verify count 1) with one to four keys set to values from the edges of
+# the float range, profiles and control sources that name nothing readable,
+# and malformed text.  Each run ends with a documented code, never a
+# traceback, even with every warning an error; codes 2, 3 and 5 print one
+# line of their documented form on stderr.
+_SMALL = {"problem.n": "5", "problem.nt": "5", **{
+    f"verify.{name}": "1" for name in ("mp_cases", "estimate_cases", "derivative_cases",
+                                      "lipschitz_pairs", "vi_samples", "coercivity_samples",
+                                      "growth_samples", "starts")}}
+# Values of each key, valid ones first: a derandomized run draws early
+# entries most, so most runs get past the config into the solvers.
+_PROFILES_AT_EDGE = ("bump(1)", "eigen(2)", "zero", "bump(1e200)", "bump(-1e308)", "bump(nan)",
+                     "eigen(1000)", "csv(/nonexistent/data.csv)", "bump(", "eigen(x)")
+_EDGE_VALUES = {
+    "problem.a": ("-2", "-1e308", "-inf", "nan", "1"),
+    "problem.b": ("2", "1e308", "inf", "-1"),
+    "problem.n": ("3", "7", "1", "0", "-1", "1.5"),
+    "problem.s": ("0.25", "0.75", "1e-300", "1", "0", "nan"),
+    "problem.T": ("0.1", "2", "1e-300", "1e308", "inf", "0", "abc"),
+    "problem.nt": ("3", "7", "1", "0", "-1"),
+    "problem.omega_a": ("-0.9", "-1e308", "-inf", "0.9", "nan"),
+    "problem.omega_b": ("0.9", "1e308", "inf", "-0.9"),
+    "problem.alpha": ("1e-3", "1e308", "1e-300", "0", "-1", "inf"),
+    "problem.m": ("-2", "-0.0", "-1e308", "-inf", "2"),
+    "problem.M": ("0.5", "2", "1e308", "inf", "-2", ""),
+    "problem.rho0": _PROFILES_AT_EDGE,
+    "problem.rhod": _PROFILES_AT_EDGE,
+    "problem.c_user": ("1", "1e308", "-1", "inf", "nan"),
+    "optimizer.method": ("fp", "pg", "newton"),
+    "optimizer.max_iters": ("3", "0", "-1", "1e3"),
+    "optimizer.kkt_tol": ("1e-300", "1", "0", "nan"),
+}
+_EDGE_SETTINGS = st.lists(st.sampled_from(sorted(_EDGE_VALUES)), min_size=1, max_size=4,
+                          unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: st.sampled_from(_EDGE_VALUES[key]) for key in keys}))
+_COMMANDS = (("solve",), ("solve", "--adjoint"), ("adjoint",), ("optimize",), ("gradcheck",),
+             ("verify", "--suite", "optimality"), ("verify", "--suite", "derivatives"),
+             ("verify", "--suite", "maximum-principle"))
+_CONTROLS = ("constant(0.5)", "zero", "constant(-0.0)", "constant(-1e308)", "constant(inf)",
+             "constant(nan)", "csv(/nonexistent/u.csv)", "constant(", "ones")
+_DOCUMENTED = {2: "config error: ", 3: "stability error: ", 5: "internal error: "}
+
+
+# each example ended in a traceback under warnings as errors before its mend:
+# the nodes of an infinite domain end, the spacing of n = -1, the
+# second-order adjoint's source w*q, and the linearized source w*rho
+@example({"problem.a": "-inf"}, ("verify", "--suite", "optimality"), "zero")
+@example({"problem.n": "-1"}, ("solve",), "zero")
+@example({"problem.alpha": "1e308", "problem.rhod": "bump(-1e308)", "optimizer.method": "fp"},
+         ("verify", "--suite", "optimality"), "zero")
+@example({"problem.rho0": "bump(-1e308)"}, ("verify", "--suite", "optimality"), "zero")
+@given(_EDGE_SETTINGS, st.sampled_from(_COMMANDS), st.sampled_from(_CONTROLS))
+def test_every_run_ends_with_a_documented_exit_code(keys, command, control):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n"
+                                  for key, value in {**_SMALL, **keys}.items()))
+        argv = [*command, "--config", str(config)]
+        if command[0] != "gradcheck":
+            argv += ["--out", str(Path(tmp) / "out")]
+        if command[0] in ("solve", "adjoint"):
+            argv += ["--control", control]
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)  # a traceback here fails the property
+    assert code in (0, 2, 3, 4, 5)
+    if code in _DOCUMENTED:
+        assert err.getvalue().startswith(_DOCUMENTED[code])
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 _FAILING_PROPERTY = '''
