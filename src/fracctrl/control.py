@@ -59,7 +59,9 @@ class Evaluation:
     """A control u evaluated under spec: its state rho, adjoint q, gradient
     field g = alpha*u + rho*q on the window, cost j, projection image
     clip(-rho*q/alpha), first-order residual ||u - image|| in L2(omega_T)
-    and step factors steps, built when a Hessian first asks for them."""
+    and step factors steps, built when a Hessian first asks for them; that
+    build takes the factors of the last solver to die when it was built for
+    u under spec, as the adjoint's of a steps-less kkt_residual is."""
 
     spec: ProblemSpec
     u: ControlField
@@ -85,8 +87,9 @@ def kkt_residual(spec: ProblemSpec, u: ControlField, rho: TimeField | None = Non
 
     A state already computed for u may be passed; the adjoint always runs.
     Given steps = StepSolver(spec, u), the solves march on it; otherwise
-    each builds its own, identical factors.  The Evaluation does not keep
-    steps.
+    each makes its own build, and the adjoint's takes the factors that the
+    state's solver left when it died, so u is factored once.  The
+    Evaluation does not keep steps.
     """
     if rho is None:
         rho = solve_state(spec, u, steps=steps)

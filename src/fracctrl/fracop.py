@@ -28,9 +28,12 @@ class SolverError(RuntimeError):
 
 
 def _check_nodes(a: float, b: float, n: int) -> None:
-    """What the nodes a + i*(b-a)/(n+1), i = 1..n, need: finite a < b, n >= 1."""
+    """What the nodes a + i*(b-a)/(n+1), i = 1..n, need: finite a < b whose
+    length b - a is finite too, and n >= 1."""
     if not -np.inf < a < b < np.inf:
         raise ValueError(f"domain endpoints must be finite with a < b, got ({a}, {b})")
+    if not b - a < np.inf:
+        raise ValueError(f"domain ({a}, {b}) is too long: its length b - a overflows to inf")
     if n < 1:
         raise ValueError(f"need at least one interior node, got n={n}")
 

@@ -140,15 +140,17 @@ def random_admissible(spec: ProblemSpec, rng, scale: float = 1.0) -> ControlFiel
     return ControlField(vals, spec.grid, vmin=spec.vmin, vmax=spec.vmax)
 
 
-# The factor block of the last StepSolver to die, keyed by its shape: one
-# slot, which the next build takes when it needs exactly that shape and drops
-# otherwise.  Factor memory is reused instead of faulted in afresh.
-_spare: dict[tuple, np.ndarray] = {}
+# The factor block of the last StepSolver to die and what its factors were
+# built for, keyed by the block's shape: one slot, which the next build takes
+# when it needs exactly that shape and drops otherwise.  A build for the same
+# step matrices keeps the factors in it; any other build of that shape
+# overwrites them.  Either way no fresh pages are faulted in.
+_spare: dict[tuple, tuple[np.ndarray, tuple]] = {}
 
 
-def _keep_spare(block: np.ndarray) -> None:
+def _keep_spare(block: np.ndarray, built_for: tuple) -> None:
     _spare.clear()
-    _spare[block.shape] = block
+    _spare[block.shape] = block, built_for
 
 
 class StepSolver:
@@ -167,14 +169,21 @@ class StepSolver:
     The solver trusts its inputs: spec and v were checked for finite values
     when they were built, so each factor is computed in place by potrf and
     each solve is one potrs call, neither scanning for non-finite entries.
-    march checks the trajectory it assembles.
+    No factor is written after its build.  march checks the trajectory it
+    assembles.
 
     A build's m distinct factors live in one (m, n, n) block.  When a solver
-    dies its block becomes the module's one spare; the next build of exactly
-    that shape takes it instead of faulting in fresh pages, and a build of
-    any other shape drops it first.  Live solvers never share memory.  The
-    cost is one dead block kept after a process's last build, m*n*n*8
-    bytes: at most nt*n*n*8, 1.67 GB at n = 1023, nt = 200.
+    dies its block becomes the module's one spare, with what it was built
+    for: spec.operator (by identity), dt, shift, the window and the distinct
+    rows' bytes in level order.  The next build of exactly that shape takes
+    the block instead of faulting in fresh pages, and a build of any other
+    shape drops it first.  If every input matches, the build takes the
+    factors as they are and calls no potrf: so the adjoint's build after a
+    steps-less state solve, and Evaluation.steps after it, factor nothing.
+    Any other build of that shape factors every distinct level afresh.
+    Live solvers never share memory.  The cost is one dead block, and its
+    operator, kept after a process's last build, m*n*n*8 bytes: at most
+    nt*n*n*8, 1.67 GB at n = 1023, nt = 200.
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
@@ -188,25 +197,34 @@ class StepSolver:
         self.spec, self.v, self.shift = spec, v, shift
         grid = spec.grid
         dt = grid.dt
-        base = np.asfortranarray(np.eye(grid.n) + dt * (spec.operator.matrix + shift * np.eye(grid.n)))
-        idx = grid.omega_indices
         rows = {}  # the distinct rows by their bytes, in level order
         for row in v.values:
             rows.setdefault(row.tobytes(), row)
         shape = (len(rows), grid.n, grid.n)
-        block = _spare.pop(shape, None)
+        # every input of the step matrices: the operator, which compares by
+        # identity and is never written after assembly, then dt, shift, the
+        # window and the rows
+        built_for = (spec.operator, np.array([dt, shift]).tobytes()
+                     + grid.omega_mask.tobytes() + b"".join(rows))
+        block, was_for = _spare.pop(shape, (None, None))
         _spare.clear()  # a spare of another shape goes before this build allocates
         if block is None:
             block = np.empty(shape)
         # block[j] is C-contiguous, so M = block[j].T is the Fortran layout in
         # which potrf overwrites M with its factor
-        by_row = {}
-        for (key, row), M in zip(rows.items(), block.transpose(0, 2, 1)):
-            M[...] = base
-            M[idx, idx] -= dt * row
-            by_row[key] = cho_factor(M)
+        by_row = dict(zip(rows, block.transpose(0, 2, 1)))
+        # potrs only reads a factor, so a block built for these very matrices
+        # still holds the bytes potrf would write into it again
+        if was_for != built_for:
+            base = np.asfortranarray(np.eye(grid.n)
+                                     + dt * (spec.operator.matrix + shift * np.eye(grid.n)))
+            idx = grid.omega_indices
+            for row, M in zip(rows.values(), by_row.values()):
+                M[...] = base
+                M[idx, idx] -= dt * row
+                cho_factor(M)
         self._factors = [by_row[row.tobytes()] for row in v.values]  # levels 1..nt
-        weakref.finalize(self, _keep_spare, block).atexit = False
+        weakref.finalize(self, _keep_spare, block, built_for).atexit = False
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""

@@ -388,7 +388,9 @@ class TestCommands:
     @pytest.mark.parametrize("line,message", [
         ("problem.a = -inf", "domain endpoints must be finite with a < b, got (-inf, 1.0)"),
         ("problem.b = inf", "domain endpoints must be finite with a < b, got (-1.0, inf)"),
-        ("problem.n = -1", "need at least one interior node, got n=-1")])
+        ("problem.n = -1", "need at least one interior node, got n=-1"),
+        ("problem.a = -1e308\nproblem.b = 1e308",
+         "domain (-1e+308, 1e+308) is too long: its length b - a overflows to inf")])
     def test_bad_grid_is_a_config_error_under_warnings_as_errors(self, tmp_path, capsys,
                                                                    line, message):
         # the grid is refused before its nodes are computed, so an infinite

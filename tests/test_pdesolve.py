@@ -3,6 +3,7 @@
 import math
 import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -592,6 +593,86 @@ class TestSpareBlock:
         smaller = make_spec(n=20, nt=8)
         StepSolver(smaller, constant_control(smaller.grid, 0.4, smaller.vmin, smaller.vmax))
         assert list(pdesolve._spare) == [(1, 20, 20)]
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Every matrix handed to potrf while the test runs."""
+        made, own = [], pdesolve.cho_factor
+        monkeypatch.setattr(pdesolve, "cho_factor", lambda M: made.append(M) or own(M))
+        return made
+
+    @staticmethod
+    def assert_marches_as(steps, fresh, rng):
+        n, nt = steps.spec.grid.n, steps.spec.grid.nt
+        init, terminal, source = (rng.standard_normal(n), rng.standard_normal(n),
+                                  rng.standard_normal((nt, n)))
+        assert np.array_equal(steps.march(init).values, fresh.march(init).values)
+        assert np.array_equal(steps.march(terminal, source, backward=True).values,
+                              fresh.march(terminal, source, backward=True).values)
+
+    def test_an_evaluation_factors_each_level_once(self, factored):
+        # the state's solver dies before the adjoint's build, which takes its
+        # factors; e.steps then takes the adjoint's
+        rng = np.random.default_rng(70)
+        spec = make_spec(n=24, nt=8, rho0=rng.standard_normal(24),
+                         target=rng.standard_normal(24))
+        u = random_control(spec, rng)
+        e = kkt_residual(spec, u)
+        assert len(factored) == 8
+        held = e.steps
+        assert len(factored) == 8 and not pdesolve._spare
+        fresh = StepSolver(spec, u)
+        assert len(factored) == 16 and not shares_factors(held, fresh)
+        assert np.array_equal(e.rho.values, fresh.march(spec.rho0).values)
+        assert np.array_equal(e.q.values, fresh.march(e.rho.final - spec.rho_target,
+                                                      backward=True).values)
+        self.assert_marches_as(held, fresh, rng)
+
+    def test_a_build_for_new_data_takes_the_factors(self, factored):
+        # with_data shares the operator and the grid, so the step matrices are
+        # the same and only rho0 and the target differ
+        rng = np.random.default_rng(71)
+        spec = make_spec(n=24, nt=8)
+        u = random_control(spec, rng)
+        StepSolver(spec, u)  # dies at once, leaving its block and its factors
+        other = spec.with_data(rng.standard_normal(24), rng.standard_normal(24))
+        assert other.operator is spec.operator and other.grid is spec.grid
+        steps = StepSolver(other, u)
+        assert len(factored) == 8
+        self.assert_marches_as(steps, StepSolver(other, u), rng)
+
+    @pytest.mark.parametrize("change", ["entry", "signed-zero", "shift", "order", "horizon",
+                                        "window"])
+    def test_a_build_for_other_matrices_refactors_every_level(self, change, factored):
+        rng = np.random.default_rng(72)
+        spec = make_spec(n=24, nt=8)
+        vals = rng.uniform(spec.vmin, spec.vmax, (8, spec.grid.n_omega))
+        vals[3, 2] = 0.0
+        v = ControlField(vals, spec.grid, spec.vmin, spec.vmax)
+        dead = StepSolver(spec, v, shift=v.sup)
+        block = dead._factors[0].base
+        del dead
+        shift = v.sup
+        if change in ("entry", "signed-zero"):
+            vals = vals.copy()
+            vals[3, 2] = -0.0 if change == "signed-zero" else 0.5
+            v = v.like(vals)
+        elif change == "shift":
+            shift = v.sup + 1.0
+        elif change == "order":
+            spec = replace(spec, s=0.3)
+        else:  # the same nodes, so the same operator, with another dt or window
+            T, window = (0.7, (-0.6, 0.6)) if change == "horizon" else (0.5, (-0.5, 0.62))
+            grid = Grid.from_window(a=-1.0, b=1.0, n=24, window=window, T=T, nt=8)
+            op = spec.operator
+            spec = replace(spec, grid=grid)
+            spec._op = op
+            v = ControlField(v.values, grid, v.vmin, v.vmax)
+        factored.clear()
+        steps = StepSolver(spec, v, shift=shift)
+        assert np.shares_memory(steps._factors[0], block)
+        assert len(factored) == 8
+        self.assert_marches_as(steps, StepSolver(spec, v, shift=shift), rng)
 
 
 class TestFieldContainers:
