@@ -211,6 +211,9 @@ def check_coercivity(e: Evaluation, tau: float, n_samples: int, seed: int = 0) -
     per direction kept; directions of norm below 1e-10 are dropped, and the
     array is empty when none survives.  The samples are drawn and projected
     as one stack, and the kept directions share one block Hessian action.
+    An evaluation that is not finite (its cost or gradient overflowed) has
+    no Hessian to sample: every kept quotient reads NaN, which fails every
+    bound, and nothing marches.
     """
     spec = e.spec
     raw = np.random.default_rng(seed).standard_normal((n_samples, *e.u.values.shape))
@@ -218,8 +221,8 @@ def check_coercivity(e: Evaluation, tau: float, n_samples: int, seed: int = 0) -
     norms = np.array([spec.control_norm(d) for d in proj])
     keep = ~(norms < 1e-10)  # a NaN norm is kept, so its quotient reads NaN
     kept, norms = proj[keep], norms[keep]
-    if not norms.size:
-        return np.empty(0)
+    if not (norms.size and e.finite):
+        return np.full(norms.size, np.nan)
     # every kept direction in one block action: one forward and one backward march
     actions = hessian_action(e, kept)
     return np.array([spec.control_dot(h, d) / norm**2 for h, d, norm in zip(actions, kept, norms)])

@@ -184,25 +184,39 @@ def _bind_lapack() -> None:
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of the SPD matrix a, computed in place by LAPACK
-    potrf when a is a Fortran-ordered float array.  The strict lower
-    triangle keeps a's entries: potrs never reads it.  a is not scanned for
-    non-finite entries: callers pass data validated where it was built."""
+    """Lower Cholesky factor L of the SPD matrix a = L L^T, computed in place
+    by LAPACK potrf when a is a Fortran-ordered float array.  potrf reads
+    and writes only the lower triangle, so the strict upper triangle keeps
+    a's entries, and potrs never reads it.  a is not scanned for non-finite
+    entries: callers pass data validated where it was built.
+
+    The lower triangle is the faster one in OpenBLAS's potrf at the sizes
+    the step matrices take most (about 0.63x the upper's time at n = 64 and
+    0.70x at n = 127, on one thread or two), and level with it within the
+    noise elsewhere; README's "Per-step matrices" has the table."""
     if _potrf is None:
         _bind_lapack()
-    c, info = _potrf(a, lower=0, clean=0, overwrite_a=1)
+    c, info = _potrf(a, lower=1, clean=0, overwrite_a=1)
     if info != 0:  # pragma: no cover - SPD by construction
         raise SolverError(f"Cholesky factorization failed (potrf info={info})")
     return c
 
 
 def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the upper Cholesky factor that cho_factor returns, straight
-    through LAPACK potrs.  Neither the factor nor rhs is scanned for
-    non-finite entries: callers pass data validated where it was built."""
+    """Solve L L^T x = rhs with the lower factor L that cho_factor returns,
+    straight through LAPACK potrs, which reads only the lower triangle.
+    Neither the factor nor rhs is scanned for non-finite entries: callers
+    pass data validated where it was built.
+
+    An (n, k) rhs is one potrs call with k right-hand sides, and column j of
+    the result is bitwise the solve of rhs[:, j] alone.  LAPACK does not
+    promise this; it rests on OpenBLAS, scipy's BLAS, doing each column's
+    arithmetic in the same order whatever k is, including past its switch to
+    threads at n = 128.  tests/test_fracop.py pins it for n from 9 to 129
+    and k from 1 to 64, and StepSolver.march's block columns depend on it."""
     if _potrs is None:
         _bind_lapack()
-    x, info = _potrs(factor, rhs)
+    x, info = _potrs(factor, rhs, lower=1)
     if info != 0:  # pragma: no cover - only an illegal argument sets it
         raise SolverError(f"Cholesky solve failed (potrs info={info})")
     return x

@@ -635,6 +635,19 @@ class TestCoercivity:
         assert active.any() and not active.all()
         assert np.array_equal(check_coercivity(e, 0.0, 8, seed=3), expected)
 
+    def test_non_finite_evaluation_reads_nan_without_marching(self, monkeypatch):
+        # rho0 of sup 1e200 overflows the cost to inf; the Hessian's linearized
+        # source w*rho would too, so no quotient is sampled and each kept
+        # direction reads NaN, which fails every bound
+        spec = make_spec(rho0=np.full(18, 1e200))
+        e = kkt_residual(spec, constant_control(spec.grid, 0.0, spec.vmin, spec.vmax))
+        assert not e.finite
+        monkeypatch.setattr(control, "hessian_action", lambda *args: pytest.fail("marched"))
+        for tau in (0.0, 1e-3):
+            quotients = check_coercivity(e, tau=tau, n_samples=4, seed=2)
+            assert quotients.shape == (4,) and np.isnan(quotients).all()
+        assert check_coercivity(e, tau=0.0, n_samples=0).shape == (0,)
+
     def test_degenerate_cone_reported_inconclusive(self):
         # on the box [0, 1] at u = 0, positive data make g = rho*q > 0
         # everywhere, so every window point is strongly active; the cone

@@ -11,11 +11,14 @@ import pytest
 from scipy.linalg import toeplitz
 
 import fracctrl
+from fracctrl import pdesolve
 from fracctrl.fracop import (
     Grid,
     InvalidOrderError,
     assemble_operator,
     assemble_weights,
+    cho_factor,
+    cholesky_solve,
     l2_norm,
     linf_norm,
     normalization_constant,
@@ -23,6 +26,8 @@ from fracctrl.fracop import (
     v_seminorm,
     vstar_norm,
 )
+from fracctrl.pdesolve import StepSolver, random_admissible
+from fracctrl.problem import benchmark_problem
 
 
 def closed_form_constant(s):
@@ -328,3 +333,62 @@ class TestNorms:
     def test_l2_and_linf(self):
         assert l2_norm(0.5, np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5))
         assert linf_norm(np.array([-3.0, 2.0])) == 3.0
+
+
+class TestCholesky:
+    """cho_factor leaves the lower factor L of a = L L^T in a's lower
+    triangle and the input in its strict upper one, which cholesky_solve
+    never reads; StepSolver's factors and FractionalOperator's are made and
+    used through these two functions."""
+
+    def assert_upper_triangle_unread(self, factor, solve, n, rng):
+        b, block = rng.standard_normal(n), rng.standard_normal((n, 5))
+        before = solve(b), solve(block)
+        factor[np.triu_indices(n, 1)] = np.nan
+        after = solve(b), solve(block)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    def test_step_factor_keeps_the_upper_triangle_and_never_reads_it(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        spec = benchmark_problem(n=24, nt=6)
+        inputs, factors = [], []
+
+        def recorded(a):
+            inputs.append(a.copy())
+            factors.append(cho_factor(a))
+            return factors[-1]
+
+        monkeypatch.setattr(pdesolve, "cho_factor", recorded)
+        steps = StepSolver(spec, random_admissible(spec, rng))
+        assert len(factors) == 6
+        upper = np.triu_indices(24, 1)
+        for level, (a, factor) in enumerate(zip(inputs, factors), start=1):
+            assert np.array_equal(factor[upper], a[upper])
+            self.assert_upper_triangle_unread(
+                factor, lambda rhs: steps.solve(level, rhs), 24, rng)
+
+    def test_operator_factor_keeps_the_upper_triangle_and_never_reads_it(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        op = assemble_operator(make_grid(24), 0.5)
+        factors = []
+        monkeypatch.setattr(fracctrl.fracop, "cho_factor",
+                            lambda a: factors.append(cho_factor(a)) or factors[-1])
+        op.solve(np.ones(24))
+        upper = np.triu_indices(24, 1)
+        assert len(factors) == 1 and np.array_equal(factors[0][upper], op.matrix[upper])
+        self.assert_upper_triangle_unread(factors[0], op.solve, 24, rng)
+
+    @pytest.mark.parametrize("n", [9, 24, 64, 127, 129])
+    def test_block_column_is_bitwise_its_single_solve(self, n):
+        # OpenBLAS, not LAPACK, makes column j of a k-column solve bitwise the
+        # solve of column j alone, also past its switch to threads at n = 128;
+        # block marches and block Hessian actions rest on it
+        rng = np.random.default_rng(n)
+        spd = np.eye(n) + assemble_operator(make_grid(n), 0.5).matrix
+        factor = cho_factor(np.asfortranarray(spd))
+        for k in (1, 2, 5, 17, 64):
+            block = rng.standard_normal((n, k))
+            x = cholesky_solve(factor, block)
+            assert x.shape == (n, k)
+            for j in range(k):
+                assert np.array_equal(x[:, j], cholesky_solve(factor, block[:, j]))

@@ -338,7 +338,7 @@ class TestDenseStepPath:
             window[spec.grid.omega_mask] = v.values[level - 1]
             M = base - dt * np.diag(window)
             b = rng.standard_normal(n)
-            assert np.array_equal(steps.solve(level, b), cho_solve(cho_factor(M), b))
+            assert np.array_equal(steps.solve(level, b), cho_solve(cho_factor(M, lower=True), b))
 
     def test_build_guards_stability_at_shift_zero(self):
         # dt = 1/60, so a control of sup 40 puts dt*theta at 2/3 > 1/2; a shift
@@ -406,7 +406,8 @@ class TestMarch:
         for k in range(spec.grid.nt, 0, -1):
             window = np.zeros(n)
             window[spec.grid.omega_mask] = v.values[k - 1]
-            x = cho_solve(cho_factor(base - dt * np.diag(window)), x + dt * source[k - 1])
+            x = cho_solve(cho_factor(base - dt * np.diag(window), lower=True),
+                          x + dt * source[k - 1])
             assert np.array_equal(lam.values[k], x)
         assert np.array_equal(lam.values[0], lam.values[1])
 
