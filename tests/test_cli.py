@@ -408,12 +408,14 @@ class TestCommands:
         "problem.rho0 = bump(-1e308)\n"],
         ids=["second-order-adjoint", "linearized"])
     @pytest.mark.parametrize("action", ["default", "error"])
-    def test_hessian_past_the_float_range_is_a_failed_check_under_any_filter(
+    def test_hessian_past_the_float_range_is_an_internal_error_under_any_filter(
             self, tmp_path, capsys, lines, action):
-        # the optimizer's final evaluation overflows (j = inf), so the
-        # Hessian's linearized source w*rho or second-order source w*q would
-        # too: the coercivity checks read NaN without marching and fail, exit
-        # 4 like other overflowing data, and nothing warns under any filter
+        # the name is kept from when the Hessian march raised on this data
+        # (exit 5, internal error).  Now the optimizer's final evaluation
+        # overflows (j = inf), so the Hessian's linearized source w*rho or
+        # second-order source w*q would too: the coercivity checks read NaN
+        # without marching and fail, exit 4 like other overflowing data, and
+        # nothing warns under any filter
         config = tmp_path / "run.cfg"
         config.write_text("problem.n = 5\nproblem.nt = 5\n" + lines)
         with warnings.catch_warnings(record=True) as caught:
