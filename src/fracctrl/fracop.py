@@ -170,17 +170,18 @@ class FractionalOperator:
         return cholesky_solve(self._factor(), np.asarray(f, dtype=float))
 
 
-# scipy's LAPACK potrf and potrs, bound by _bind_lapack at the first
-# factorization or solve: importing scipy.linalg takes longer than importing
-# numpy, and a process that never factors (the parent of verify's workers)
-# should not pay for it.
-_potrf = _potrs = None
+# scipy's LAPACK potrf and potrs and its BLAS gemm, bound by _bind_lapack at
+# the first factorization or solve: importing scipy.linalg takes longer than
+# importing numpy, and a process that never factors (the parent of verify's
+# workers) should not pay for it.
+_potrf = _potrs = _gemm = None
 
 
 def _bind_lapack() -> None:
-    global _potrf, _potrs
+    global _potrf, _potrs, _gemm
+    from scipy.linalg.blas import dgemm
     from scipy.linalg.lapack import dpotrf, dpotrs
-    _potrf, _potrs = dpotrf, dpotrs
+    _potrf, _potrs, _gemm = dpotrf, dpotrs, dgemm
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -213,13 +214,30 @@ def cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     promise this; it rests on OpenBLAS, scipy's BLAS, doing each column's
     arithmetic in the same order whatever k is, including past its switch to
     threads at n = 128.  tests/test_fracop.py pins it for n from 9 to 129
-    and k from 1 to 64, and StepSolver.march's block columns depend on it."""
+    and k from 1 to 64.  StepSolver.march's block columns depend on it on
+    both step paths; the Schur path also depends on pdesolve._coupled's
+    stacked gemv, which states and pins its own."""
     if _potrs is None:
         _bind_lapack()
     x, info = _potrs(factor, rhs, lower=1)
     if info != 0:  # pragma: no cover - only an illegal argument sets it
         raise SolverError(f"Cholesky solve failed (potrs info={info})")
     return x
+
+
+def schur_complement(factor: np.ndarray, coupling: np.ndarray,
+                     block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = B^-1 coupling and the Schur complement K = block - coupling^T X,
+    for B = L L^T with the lower factor L that cho_factor returned.
+
+    Both run on scipy's OpenBLAS, like the potrf calls that then factor K's
+    levels.  numpy's matmul would run the product on numpy's own OpenBLAS,
+    whose helper threads keep spinning after it, and a threaded potrf right
+    after it stalls until they stop: the first gradient at n = 511 took
+    0.28-0.75 s that way and 0.16-0.25 s this way (5 alternating runs on 2
+    vCPUs)."""
+    x = cholesky_solve(factor, coupling)
+    return x, _gemm(-1.0, coupling, x, 1.0, np.asfortranarray(block), trans_a=1, overwrite_c=1)
 
 
 def assemble_operator(grid: Grid, s: float) -> FractionalOperator:

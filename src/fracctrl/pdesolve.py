@@ -8,10 +8,14 @@ implicitly: each step solves
 Under dt*theta <= 1/2 every step matrix is a symmetric positive definite
 M-matrix, which yields nonnegativity preservation and the per-step sup
 bound ||M^(-1)||_inf <= 1/(1 - dt*theta) for free.  Every step is solved
-with the exact Cholesky factors of its matrix, factorized once per distinct
-matrix, and the forward and adjoint sweeps use the same factors, so the
-adjoint solver is the exact transpose of the forward map and discrete
-duality identities hold to round-off, not to discretization accuracy.
+directly, with Cholesky factors computed once per distinct matrix: of the
+whole matrix, or, from N_SCHUR nodes up with a node off the window, of the
+window's Schur complement, with the off-window block factored once per
+problem.  The Schur complement of an M-matrix is an M-matrix, so both
+paths keep the bounds above.  The forward and adjoint sweeps use the same
+factors, so the adjoint solver is the exact transpose of the forward map
+and discrete duality identities hold to round-off, not to discretization
+accuracy.
 
 Controls and directions live on the omega nodes at the implicit levels
 1..nt, piecewise constant in time and space.
@@ -38,6 +42,7 @@ from .fracop import (
     cho_factor,
     cholesky_solve,
     linf_norm,
+    schur_complement,
     v_seminorm,
     vstar_norm,
 )
@@ -153,11 +158,69 @@ def _keep_spare(block: np.ndarray, built_for: tuple) -> None:
     _spare[block.shape] = block, built_for
 
 
+# Smallest n at which StepSolver factors only the window's Schur complement
+# at each level: from here up one Schur step solve is no slower than one
+# dense potrs (README, "Per-step matrices", has the measured crossover).
+N_SCHUR = 116
+
+
+def _coupled(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a @ y, for a vector y or each column of an (m, k) block y alone.
+
+    A block is one stacked matrix-vector product, which numpy runs as one
+    gemv per column, so column j is bitwise a @ y[:, j], as march's block
+    columns need.  numpy and OpenBLAS do not promise this: it rests on the
+    gemv of a column not depending on the others, which a gemm on the whole
+    block breaks (its columns differ from a @ y[:, j] in the last bits).
+    tests/test_fracop.py pins it for the coupling shapes of n = 127 to 1023
+    and k from 1 to 64."""
+    if y.ndim == 1:
+        return a @ y
+    return np.matmul(a, y.T[..., None])[..., 0].T
+
+
+class _WindowSchur:
+    """What the Schur path needs besides each level's factor, for the fixed
+    part M0 = I + dt*(A + shift*I) of the step matrices.
+
+    With the off-window nodes first, M0 = [[B, C], [C^T, D]] and a level's
+    matrix differs from M0 only on the window's diagonal, D - dt*diag(v^n).
+    B's lower Cholesky factor, X = B^-1 C and the window's Schur complement
+    K = D - C^T X are computed once; a level then factors K - dt*diag(v^n),
+    n_omega wide, and solves in two potrs and two gemv.  The Schur complement
+    of an M-matrix is an M-matrix, and every product here adds terms of one
+    sign, so a nonnegative right-hand side gives a nonnegative solution."""
+
+    def __init__(self, grid: Grid, base: np.ndarray):
+        self.off, self.win = np.flatnonzero(~grid.omega_mask), grid.omega_indices
+        self.factor = cho_factor(np.asfortranarray(base[np.ix_(self.off, self.off)]))
+        coupling = base[np.ix_(self.off, self.win)]
+        self.X, self.K = schur_complement(self.factor, coupling,
+                                          base[np.ix_(self.win, self.win)])
+        self.Ct = np.ascontiguousarray(coupling.T)
+
+    def solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the level whose K - dt*diag(v^n) factors into factor:
+        y_B = B^-1 b_B, x_W = (K - dt*diag(v^n))^-1 (b_W - C^T y_B) and
+        x_B = y_B - X x_W."""
+        y = cholesky_solve(self.factor, rhs[self.off])
+        x = np.empty(rhs.shape)
+        x[self.win] = xw = cholesky_solve(factor, rhs[self.win] - _coupled(self.Ct, y))
+        x[self.off] = y - _coupled(self.X, xw)
+        return x
+
+
 class StepSolver:
     """Cholesky factors of the step matrices M_n = I + dt*(A + shift*I) - dt*diag(v^n).
 
     One factor per distinct level: rows of v holding the same bytes share one
-    (-0.0 and 0.0 rows do not).  The matrices are symmetric, so march runs
+    (-0.0 and 0.0 rows do not).  Below N_SCHUR nodes, or when the window
+    holds every node, it is the factor of the whole n x n matrix and a solve
+    is one potrs.  Otherwise it is the factor of the window's Schur
+    complement K - dt*diag(v^n), n_omega wide, and a solve is two potrs and
+    two gemv (_WindowSchur).  The part of that path which no control
+    changes is computed by the first build at shift 0 and kept on the spec;
+    a shifted build computes its own.  The matrices are symmetric, so march runs
     the forward and the transposed (adjoint) sweeps on the same factors: the
     adjoint is the exact transpose of the forward map.  At shift 0 the build
     raises StabilityError unless dt*theta <= 1/2; a shift >= sup|v| makes
@@ -168,22 +231,24 @@ class StepSolver:
 
     The solver trusts its inputs: spec and v were checked for finite values
     when they were built, so each factor is computed in place by potrf and
-    each solve is one potrs call, neither scanning for non-finite entries.
+    each solve calls potrs directly, neither scanning for non-finite entries.
     No factor is written after its build.  march checks the trajectory it
     assembles.
 
-    A build's m distinct factors live in one (m, n, n) block.  When a solver
-    dies its block becomes the module's one spare, with what it was built
-    for: spec.operator (by identity), dt, shift, the window and the distinct
-    rows' bytes in level order.  The next build of exactly that shape takes
-    the block instead of faulting in fresh pages, and a build of any other
-    shape drops it first.  If every input matches, the build takes the
-    factors as they are and calls no potrf: so the adjoint's build after a
-    steps-less state solve, and Evaluation.steps after it, factor nothing.
-    Any other build of that shape factors every distinct level afresh.
-    Live solvers never share memory.  The cost is one dead block, and its
-    operator, kept after a process's last build, m*n*n*8 bytes: at most
-    nt*n*n*8, 1.67 GB at n = 1023, nt = 200.
+    A build's m distinct factors live in one (m, size, size) block, size
+    being n or n_omega.  When a solver dies its block becomes the module's
+    one spare, with what it was built for: spec.operator (by identity), dt,
+    shift, the window and the distinct rows' bytes in level order (the
+    Schur part is a function of the first four).  The next build of exactly
+    that shape takes the block instead of faulting in fresh pages, and a
+    build of any other shape drops it first.  If every input matches, the
+    build takes the factors as they are and calls no potrf: so the
+    adjoint's build after a steps-less state solve, and Evaluation.steps
+    after it, factor nothing.  Any other build of that shape factors every
+    distinct level afresh.  Live solvers never share memory.  The cost is
+    one dead block, and its operator, kept after a process's last build,
+    m*size*size*8 bytes with m <= nt: on the Schur path 418 MB at n = 1023
+    (n_omega = 511), nt = 200, where whole-matrix factors would take 1.67 GB.
     """
 
     def __init__(self, spec: ProblemSpec, v: ControlField, shift: float = 0.0):
@@ -196,11 +261,17 @@ class StepSolver:
             )
         self.spec, self.v, self.shift = spec, v, shift
         grid = spec.grid
-        dt = grid.dt
+        n, dt = grid.n, grid.dt
         rows = {}  # the distinct rows by their bytes, in level order
         for row in v.values:
             rows.setdefault(row.tobytes(), row)
-        shape = (len(rows), grid.n, grid.n)
+        self._schur = None
+        if n >= N_SCHUR and grid.n_omega < n:
+            if shift == 0.0 and spec._schur is None:
+                spec._schur = _WindowSchur(grid, self._fixed_part())
+            self._schur = spec._schur if shift == 0.0 else _WindowSchur(grid, self._fixed_part())
+        size = n if self._schur is None else grid.n_omega
+        shape = (len(rows), size, size)
         # every input of the step matrices: the operator, which compares by
         # identity and is never written after assembly, then dt, shift, the
         # window and the rows
@@ -216,9 +287,10 @@ class StepSolver:
         # potrs only reads a factor, so a block built for these very matrices
         # still holds the bytes potrf would write into it again
         if was_for != built_for:
-            base = np.asfortranarray(np.eye(grid.n)
-                                     + dt * (spec.operator.matrix + shift * np.eye(grid.n)))
-            idx = grid.omega_indices
+            if self._schur is None:
+                base, idx = self._fixed_part(), grid.omega_indices
+            else:
+                base, idx = self._schur.K, np.arange(size)
             for row, M in zip(rows.values(), by_row.values()):
                 M[...] = base
                 M[idx, idx] -= dt * row
@@ -226,9 +298,18 @@ class StepSolver:
         self._factors = [by_row[row.tobytes()] for row in v.values]  # levels 1..nt
         weakref.finalize(self, _keep_spare, block, built_for).atexit = False
 
+    def _fixed_part(self) -> np.ndarray:
+        """I + dt*(A + shift*I), the part of every step matrix that no
+        control changes."""
+        n, dt = self.spec.grid.n, self.spec.grid.dt
+        return np.asfortranarray(np.eye(n)
+                                 + dt * (self.spec.operator.matrix + self.shift * np.eye(n)))
+
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
         """Solve M_level x = rhs; level is the implicit index 1..nt."""
-        return cholesky_solve(self._factors[level - 1], rhs)
+        if self._schur is None:
+            return cholesky_solve(self._factors[level - 1], rhs)
+        return self._schur.solve(self._factors[level - 1], rhs)
 
     def march(self, init: np.ndarray, source: np.ndarray | None = None,
               backward: bool = False) -> TimeField:

@@ -37,7 +37,11 @@ class ProblemSpec:
     sampled sups the smallness conditions read, are computed on
     construction, so dataclasses.replace recomputes them; the operator is
     assembled on first use and never copied, so a replaced order or grid
-    gets its own.  with_data varies the data and shares the operator.
+    gets its own.  The same holds for the spec-only part of pdesolve's
+    Schur step path (the off-window factor, the coupling and the window's
+    Schur complement at shift 0), which the first StepSolver that needs it
+    computes.  with_data varies the data and shares the operator, and that
+    part once it is computed.
     """
 
     grid: Grid
@@ -51,6 +55,7 @@ class ProblemSpec:
     rho0_sup: float = field(init=False)
     target_sup: float = field(init=False)
     _op: FractionalOperator | None = field(default=None, init=False, repr=False, compare=False)
+    _schur: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -86,9 +91,10 @@ class ProblemSpec:
 
     def with_data(self, rho0, rho_target) -> ProblemSpec:
         """This instance with new initial and target data: the same grid,
-        order, weight, box and constant C, and the same operator object."""
+        order, weight, box and constant C, and the same operator object (and
+        Schur part, if this instance has computed it)."""
         spec = replace(self, rho0=rho0, rho_target=rho_target)
-        spec._op = self.operator
+        spec._op, spec._schur = self.operator, self._schur
         return spec
 
     def control_dot(self, a, b) -> float:

@@ -23,6 +23,7 @@ from fracctrl.fracop import (
     linf_norm,
     normalization_constant,
     quadrature_oracle,
+    schur_complement,
     v_seminorm,
     vstar_norm,
 )
@@ -392,3 +393,39 @@ class TestCholesky:
             assert x.shape == (n, k)
             for j in range(k):
                 assert np.array_equal(x[:, j], cholesky_solve(factor, block[:, j]))
+
+
+def test_schur_complement_is_the_block_formula():
+    # the off-window block of the reference step matrix at n = 127 and its
+    # coupling to the window: X = B^-1 C and K = D - C^T X to round-off
+    spec = benchmark_problem(n=127, nt=200)
+    m = np.eye(127) + spec.grid.dt * spec.operator.matrix
+    off, win = ~spec.grid.omega_mask, spec.grid.omega_mask
+    b, c, d = m[np.ix_(off, off)], m[np.ix_(off, win)], m[np.ix_(win, win)]
+    x, k = schur_complement(cho_factor(np.asfortranarray(b)), c, d)
+    want_x = np.linalg.solve(b, c)
+    assert np.max(np.abs(x - want_x)) <= 1e-14 * np.max(np.abs(want_x))
+    assert np.max(np.abs(k - (d - c.T @ want_x))) <= 1e-14 * np.max(np.abs(d))
+
+
+class TestCoupling:
+    """The Schur step path multiplies a block by its two coupling matrices
+    as one stacked matrix-vector product (pdesolve._coupled); its block
+    march columns are bitwise the single marches only if each column of
+    that product is bitwise the matrix-vector product of the column alone."""
+
+    # (n_omega, n_B) of the coupling at n = 127, 129, 255, 511 and 1023 on
+    # the reference window; the transpose is the other factor's shape
+    @pytest.mark.parametrize("shape", [(63, 64), (65, 64), (127, 128), (255, 256), (511, 512)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_column_is_bitwise_its_single_product(self, shape, order):
+        rng = np.random.default_rng(shape[0])
+        for a in (rng.standard_normal(shape), rng.standard_normal(shape[::-1])):
+            a = np.asarray(a, order=order)
+            for k in (1, 2, 17, 64):
+                block = rng.standard_normal((a.shape[1], k))
+                y = pdesolve._coupled(a, block)
+                assert y.shape == (a.shape[0], k)
+                for j in range(k):
+                    assert np.array_equal(y[:, j], pdesolve._coupled(a, block[:, j]))
+                    assert np.array_equal(y[:, j], a @ block[:, j])

@@ -676,6 +676,164 @@ class TestSpareBlock:
         self.assert_marches_as(steps, StepSolver(spec, v, shift=shift), rng)
 
 
+def dense_reference_march(spec, v, init, source=None, backward=False, shift=0.0):
+    """The march by hand: each level's full step matrix factored by scipy's
+    checked cho_factor, the way the dense path solves it."""
+    n, nt, dt = spec.grid.n, spec.grid.nt, spec.grid.dt
+    base = np.eye(n) + dt * (spec.operator.matrix + shift * np.eye(n))
+    out = np.empty((nt + 1,) + np.shape(init))
+    x = init
+    for k in (range(nt, 0, -1) if backward else range(1, nt + 1)):
+        window = np.zeros(n)
+        window[spec.grid.omega_mask] = v.values[k - 1]
+        rhs = x if source is None else x + dt * source[k - 1]
+        x = out[k] = cho_solve(cho_factor(base - dt * np.diag(window), lower=True), rhs)
+    out[0] = out[1] if backward else init
+    return out
+
+
+def relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+# Schur path against the dense reference: the largest relative gap measured
+# over the marches below is 1.0e-15 (n = 255, forward, under one BLAS thread
+# and two), so 1e-14 leaves a margin of about 10
+SCHUR_GAP = 1e-14
+
+
+class TestSchurStepPath:
+    """From n = N_SCHUR up, with a node outside the window, a build factors
+    only the window's Schur complement at each level; its marches agree with
+    the dense reference to round-off, keep the maximum principle exactly and
+    keep the block contract bitwise."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        made, own = [], pdesolve.cho_factor
+        monkeypatch.setattr(pdesolve, "cho_factor", lambda M: made.append(M) or own(M))
+        return made
+
+    @staticmethod
+    def reference_spec(n, nt, **kw):
+        rng = np.random.default_rng(n)
+        return make_spec(n=n, nt=nt, window=(-0.5, 0.5), rho0=np.abs(rng.standard_normal(n)),
+                         **kw)
+
+    @pytest.mark.parametrize("march", ["forward", "backward", "sourced"])
+    @pytest.mark.parametrize("n", [pdesolve.N_SCHUR, 127, 129, 255])
+    def test_march_matches_the_dense_reference(self, n, march, factored):
+        spec = self.reference_spec(n, 40)
+        rng = np.random.default_rng(80)
+        v = random_control(spec, rng)
+        steps = StepSolver(spec, v)
+        n_omega = spec.grid.n_omega
+        # B once, then one n_omega-wide factor per distinct level
+        assert [M.shape for M in factored] == [(n - n_omega,) * 2] + [(n_omega,) * 2] * 40
+        init = spec.rho0 if march == "forward" else rng.standard_normal(n)
+        source = rng.standard_normal((40, n)) if march == "sourced" else None
+        backward = march != "forward"
+        got = steps.march(init, source, backward=backward).values
+        want = dense_reference_march(spec, v, init, source, backward)
+        assert relative_gap(got, want) <= SCHUR_GAP
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("k", [1, 2, 17, 64])
+    @pytest.mark.parametrize("n", [127, 129])
+    def test_block_columns_are_the_single_marches(self, n, k, backward):
+        spec = self.reference_spec(n, 6)
+        rng = np.random.default_rng(81)
+        steps = StepSolver(spec, random_control(spec, rng))
+        assert steps._schur is not None
+        init, source = rng.standard_normal((n, k)), rng.standard_normal((6, n, k))
+        block = steps.march(init, source, backward=backward)
+        for j in range(k):
+            single = steps.march(init[:, j], source[..., j], backward=backward)
+            assert np.array_equal(block.values[..., j], single.values)
+
+    def test_alternating_corners_keep_the_maximum_principle(self):
+        # the maximum-principle suite's adversarial control at n = 127:
+        # exactly nonnegative, and within the per-step envelope
+        spec = self.reference_spec(127, 256)
+        vals = np.empty((256, spec.grid.n_omega))
+        vals[0::2], vals[1::2] = spec.vmax, spec.vmin
+        v = ControlField(vals, spec.grid, spec.vmin, spec.vmax)
+        rho = solve_state(spec, v)
+        assert StepSolver(spec, v)._schur is not None
+        assert rho.values.min() >= 0.0
+        dt, sup0 = spec.grid.dt, np.max(np.abs(spec.rho0))
+        bounds = (1.0 - dt * v.theta) ** (-np.arange(257)) * sup0
+        assert np.all(np.max(np.abs(rho.values), axis=1) <= bounds * (1 + 1e-12))
+
+    @pytest.mark.parametrize("outside", [1, 0], ids=["one-node-outside", "all-nodes"])
+    def test_window_edges(self, outside, factored):
+        # one node off the window is a 1 x 1 off-window block; a window of
+        # every node has none, and the build stays dense, solving exactly as
+        # scipy's checked Cholesky does
+        n = pdesolve.N_SCHUR + 3
+        dx = 2.0 / (n + 1)
+        spec = make_spec(n=n, nt=8, window=(-1.0 + (outside + 0.5) * dx, 1.0),
+                         rho0=np.abs(np.random.default_rng(82).standard_normal(n)))
+        assert spec.grid.n_omega == n - outside
+        rng = np.random.default_rng(83)
+        v = random_control(spec, rng)
+        steps = StepSolver(spec, v)
+        assert (steps._schur is None) == (outside == 0)
+        assert [M.shape[0] for M in factored] == [1] * outside + [n - outside] * 8
+        source = rng.standard_normal((8, n))
+        for backward in (False, True):
+            got = steps.march(spec.rho0, source, backward=backward).values
+            want = dense_reference_march(spec, v, spec.rho0, source, backward)
+            if outside:
+                assert relative_gap(got, want) <= SCHUR_GAP
+            else:
+                assert np.array_equal(got, want)
+
+    def test_guards(self):
+        # dt = 1/512 on the reference spec: sup 300 puts dt*theta past 1/2
+        spec = self.reference_spec(127, 256)
+        v = constant_control(spec.grid, 300.0, spec.vmin, spec.vmax)
+        with pytest.raises(StabilityError, match="stability margin"):
+            StepSolver(spec, v)
+        with pytest.raises(ValueError, match="must be 0 or at least"):
+            StepSolver(spec, v, shift=1.0)
+        assert StepSolver(spec, v, shift=v.sup)._schur is not None
+
+    def test_the_spec_part_is_computed_once_at_the_first_build(self, factored):
+        spec = self.reference_spec(127, 8, target=np.ones(127))
+        spec.operator
+        assert spec._schur is None and not factored
+        rng = np.random.default_rng(84)
+        u = random_control(spec, rng)
+        e = kkt_residual(spec, u)
+        part = spec._schur
+        # B and the 8 levels for the state; the adjoint's build after it and
+        # e.steps take those factors from the spare block and factor nothing
+        assert len(factored) == 9
+        held = e.steps
+        assert len(factored) == 9 and held._schur is part
+        StepSolver(spec, random_control(spec, rng))
+        assert len(factored) == 17 and spec._schur is part
+        # with_data shares the computed part; replace makes a spec of its own
+        assert spec.with_data(spec.rho0, spec.rho_target)._schur is part
+        assert replace(spec)._schur is None
+
+    def test_a_shifted_build_computes_its_own_part(self, factored):
+        spec = self.reference_spec(129, 8)
+        rng = np.random.default_rng(85)
+        v = random_control(spec, rng)
+        StepSolver(spec, v)
+        part = spec._schur
+        factored.clear()
+        f = rng.standard_normal((8, 129))
+        shifted = StepSolver(spec, v, shift=v.sup)
+        assert shifted._schur is not part and spec._schur is part
+        assert len(factored) == 9
+        got = shifted.march(spec.rho0, f).values
+        want = dense_reference_march(spec, v, spec.rho0, f, shift=v.sup)
+        assert relative_gap(got, want) <= SCHUR_GAP
+
+
 class TestFieldContainers:
     def test_time_field_shape_check(self):
         grid = Grid.from_window(-1, 1, 8, (-1, 1), 1.0, 4)

@@ -1,7 +1,9 @@
 """Property tests of the step solver over random orders, grids, boxes and controls.
 
 Every instance keeps dt*theta <= 1/2, so each step matrix is an M-matrix and
-the forward and adjoint sweeps share its exact Cholesky factors.  One
+the forward and adjoint sweeps share its Cholesky factors: of the whole
+matrix, or from N_SCHUR nodes up of the window's Schur complement, which the
+nonnegativity, sup-bound and duality properties also draw.  One
 property runs both optimizers a few steps and re-evaluates the control they
 return, and one projects stacks of directions onto the critical cone of an
 evaluated control.  Another covers the CLI config text: serializing then parsing any
@@ -35,6 +37,7 @@ from fracctrl.cli import (
 from fracctrl.control import BOX_REL, active_set, critical_cone_project, kkt_residual
 from fracctrl.optimize import OptimOptions, fixed_point, projected_gradient
 from fracctrl.pdesolve import (
+    N_SCHUR,
     ControlField,
     export_control_csv,
     export_trajectory_csv,
@@ -46,14 +49,14 @@ from fracctrl.verify import SUITES, SuiteConfig, sup_envelope_ratios
 
 
 @st.composite
-def instances(draw):
-    """Problem keys of a random instance (CLI config names), a seed for its
-    data and whether its control is bang-bang.
+def instances(draw, n_min=3, n_max=40):
+    """Problem keys of a random instance (CLI config names) with n_min..n_max
+    nodes, a seed for its data and whether its control is bang-bang.
 
     The window covers the nodes first..last; its ends sit half a spacing
     outside them, so the mask does not depend on rounding.
     """
-    n = draw(st.integers(3, 40))
+    n = draw(st.integers(n_min, n_max))
     nt = draw(st.integers(1, 30))
     T = draw(st.floats(0.05, 2.0))
     first = draw(st.integers(0, n - 1))
@@ -86,21 +89,23 @@ def build(keys, seed, bang_bang):
     return text, spec, ControlField(vals, spec.grid, spec.vmin, spec.vmax), rng
 
 
-@given(instances())
-def test_state_stays_nonnegative(instance):
+# From N_SCHUR nodes up a window that leaves a node out takes the Schur step
+# path; the window draws still include every node, which stays dense
+schur_sizes = instances(N_SCHUR, N_SCHUR + 40)
+
+
+def check_nonnegative(instance):
     _, spec, v, _ = build(*instance)
     assert solve_state(spec, v).values.min() >= 0.0
 
 
-@given(instances())
-def test_per_step_sup_bound(instance):
+def check_per_step_sup_bound(instance):
     _, spec, v, _ = build(*instance)
     step_ratio, _ = sup_envelope_ratios(solve_state(spec, v), v.theta)
     assert step_ratio <= 1 + 1e-12
 
 
-@given(instances())
-def test_adjoint_duality_to_round_off(instance):
+def check_duality(instance):
     # dx<r, y_T> = dx dt sum(w rho q) on the window; scaled by Cauchy-Schwarz
     # because the pairing itself can cancel to zero
     _, spec, v, rng = build(*instance)
@@ -113,6 +118,36 @@ def test_adjoint_duality_to_round_off(instance):
     lhs = dx * float(np.dot(r, y_final))
     rhs = spec.control_dot(w * rho.restrict_omega(), q.restrict_omega())
     assert abs(lhs - rhs) <= 1e-12 * dx * np.linalg.norm(r) * np.linalg.norm(y_final)
+
+
+@given(instances())
+def test_state_stays_nonnegative(instance):
+    check_nonnegative(instance)
+
+
+@given(instances())
+def test_per_step_sup_bound(instance):
+    check_per_step_sup_bound(instance)
+
+
+@given(instances())
+def test_adjoint_duality_to_round_off(instance):
+    check_duality(instance)
+
+
+@given(schur_sizes)
+def test_state_stays_nonnegative_at_schur_sizes(instance):
+    check_nonnegative(instance)
+
+
+@given(schur_sizes)
+def test_per_step_sup_bound_at_schur_sizes(instance):
+    check_per_step_sup_bound(instance)
+
+
+@given(schur_sizes)
+def test_adjoint_duality_to_round_off_at_schur_sizes(instance):
+    check_duality(instance)
 
 
 @given(instances())

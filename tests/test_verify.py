@@ -240,9 +240,11 @@ def _timed_in_order(report, cfg):
 class TestWorkers:
     @several_cpus
     def test_workers_give_the_in_process_checks(self, started):
-        # at 4 pairs the n=129 Lipschitz quotients differ between one and two
-        # BLAS threads, so the second run fails if the workers' thread count
-        # changes
+        # the second run takes the Lipschitz suite's n=129 instance at 4
+        # pairs; its step factors are at most 65 wide, below OpenBLAS's switch
+        # to threads at 128, so its quotients read the same under one BLAS
+        # thread and two (test_workers_get_a_short_openblas_thread_timeout
+        # pins the environment the workers get)
         for counts in (WORKER_SUITES, dict(suites=("lipschitz", "derivatives"),
                                            lipschitz_pairs=4, derivative_cases=2)):
             cfg = SuiteConfig(**counts)
