@@ -10,9 +10,10 @@ M-matrix, which yields nonnegativity preservation and the per-step sup
 bound ||M^(-1)||_inf <= 1/(1 - dt*theta) for free.  Every step is solved
 directly, with Cholesky factors computed once per distinct matrix: of the
 whole matrix, or, from N_SCHUR nodes up with a node off the window, of the
-window's Schur complement, with the off-window block factored once per
-problem.  The Schur complement of an M-matrix is an M-matrix, so both
-paths keep the bounds above.  The forward and adjoint sweeps use the same
+window's Schur complement, with the off-window block inverted once per
+problem, so that a step is one potrs and two matrix-vector products.  The
+Schur complement of an M-matrix is an M-matrix, so both paths keep the
+bounds above.  The forward and adjoint sweeps use the same
 factors, so the adjoint solver is the exact transpose of the forward map
 and discrete duality identities hold to round-off, not to discretization
 accuracy.
@@ -185,28 +186,31 @@ class _WindowSchur:
 
     With the off-window nodes first, M0 = [[B, C], [C^T, D]] and a level's
     matrix differs from M0 only on the window's diagonal, D - dt*diag(v^n).
-    B's lower Cholesky factor, X = B^-1 C and the window's Schur complement
-    K = D - C^T X are computed once; a level then factors K - dt*diag(v^n),
-    n_omega wide, and solves in two potrs and two gemv.  The Schur complement
-    of an M-matrix is an M-matrix, and every product here adds terms of one
-    sign, so a nonnegative right-hand side gives a nonnegative solution."""
+    X = B^-1 C, the window's Schur complement K = D - C^T X and the stacked
+    S = [B^-1; X^T], (n, n_off) and C-contiguous, are computed once from B's
+    factor; X^T = C^T B^-1, so S b_B is y_B = B^-1 b_B and C^T y_B in one
+    product.  A level then factors K - dt*diag(v^n), n_omega wide, and
+    solves in one potrs and two gemv.  B is an M-matrix, so B^-1 >= 0 and
+    X <= 0 exactly in floating point: every row of S has one sign, the Schur
+    complement of an M-matrix is an M-matrix, and a nonnegative right-hand
+    side gives a nonnegative solution."""
 
     def __init__(self, grid: Grid, base: np.ndarray):
         self.off, self.win = np.flatnonzero(~grid.omega_mask), grid.omega_indices
-        self.factor = cho_factor(np.asfortranarray(base[np.ix_(self.off, self.off)]))
-        coupling = base[np.ix_(self.off, self.win)]
-        self.X, self.K = schur_complement(self.factor, coupling,
+        factor = cho_factor(np.asfortranarray(base[np.ix_(self.off, self.off)]))
+        self.X, self.K = schur_complement(factor, base[np.ix_(self.off, self.win)],
                                           base[np.ix_(self.win, self.win)])
-        self.Ct = np.ascontiguousarray(coupling.T)
+        self.S = np.concatenate([cholesky_solve(factor, np.eye(len(self.off))), self.X.T])
 
     def solve(self, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the level whose K - dt*diag(v^n) factors into factor:
-        y_B = B^-1 b_B, x_W = (K - dt*diag(v^n))^-1 (b_W - C^T y_B) and
-        x_B = y_B - X x_W."""
-        y = cholesky_solve(self.factor, rhs[self.off])
+        [y_B; C^T y_B] = S b_B, x_W = (K - dt*diag(v^n))^-1 (b_W - C^T y_B)
+        and x_B = y_B - X x_W."""
+        s = _coupled(self.S, rhs[self.off])
+        n_off = len(self.off)
         x = np.empty(rhs.shape)
-        x[self.win] = xw = cholesky_solve(factor, rhs[self.win] - _coupled(self.Ct, y))
-        x[self.off] = y - _coupled(self.X, xw)
+        x[self.win] = xw = cholesky_solve(factor, rhs[self.win] - s[n_off:])
+        x[self.off] = s[:n_off] - _coupled(self.X, xw)
         return x
 
 
@@ -217,7 +221,7 @@ class StepSolver:
     (-0.0 and 0.0 rows do not).  Below N_SCHUR nodes, or when the window
     holds every node, it is the factor of the whole n x n matrix and a solve
     is one potrs.  Otherwise it is the factor of the window's Schur
-    complement K - dt*diag(v^n), n_omega wide, and a solve is two potrs and
+    complement K - dt*diag(v^n), n_omega wide, and a solve is one potrs and
     two gemv (_WindowSchur).  The part of that path which no control
     changes is computed by the first build at shift 0 and kept on the spec;
     a shifted build computes its own.  The matrices are symmetric, so march runs
@@ -236,10 +240,13 @@ class StepSolver:
     assembles.
 
     A build's m distinct factors live in one (m, size, size) block, size
-    being n or n_omega.  When a solver dies its block becomes the module's
-    one spare, with what it was built for: spec.operator (by identity), dt,
-    shift, the window and the distinct rows' bytes in level order (the
-    Schur part is a function of the first four).  The next build of exactly
+    being n or n_omega.  A build writes all m step matrices into it at once,
+    the fixed part broadcast to every level and the rows subtracted on the
+    window's diagonal, and then factors each level in place.  When a solver
+    dies its block becomes the module's one spare, with what it was built
+    for: spec.operator (by identity), dt, shift, the window and the distinct
+    rows' bytes in level order (the Schur part is a function of the first
+    four).  The next build of exactly
     that shape takes the block instead of faulting in fresh pages, and a
     build of any other shape drops it first.  If every input matches, the
     build takes the factors as they are and calls no potrf: so the
@@ -291,9 +298,9 @@ class StepSolver:
                 base, idx = self._fixed_part(), grid.omega_indices
             else:
                 base, idx = self._schur.K, np.arange(size)
-            for row, M in zip(rows.values(), by_row.values()):
-                M[...] = base
-                M[idx, idx] -= dt * row
+            block[...] = base.T
+            block[:, idx, idx] -= dt * np.array(list(rows.values()))
+            for M in by_row.values():
                 cho_factor(M)
         self._factors = [by_row[row.tobytes()] for row in v.values]  # levels 1..nt
         weakref.finalize(self, _keep_spare, block, built_for).atexit = False
@@ -306,7 +313,10 @@ class StepSolver:
                                  + dt * (self.spec.operator.matrix + self.shift * np.eye(n)))
 
     def solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve M_level x = rhs; level is the implicit index 1..nt."""
+        """Solve M_level x = rhs; level is the implicit index 1..nt, and any
+        other is a ValueError."""
+        if not 0 < level <= len(self._factors):
+            raise ValueError(f"level {level} is outside 1..{len(self._factors)}")
         if self._schur is None:
             return cholesky_solve(self._factors[level - 1], rhs)
         return self._schur.solve(self._factors[level - 1], rhs)

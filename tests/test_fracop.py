@@ -409,10 +409,20 @@ def test_schur_complement_is_the_block_formula():
 
 
 class TestCoupling:
-    """The Schur step path multiplies a block by its two coupling matrices
-    as one stacked matrix-vector product (pdesolve._coupled); its block
+    """The Schur step path multiplies a block by S = [B^-1; X^T] and by X
+    as one stacked matrix-vector product each (pdesolve._coupled); its block
     march columns are bitwise the single marches only if each column of
     that product is bitwise the matrix-vector product of the column alone."""
+
+    @staticmethod
+    def assert_columns_bitwise(a, rng):
+        for k in (1, 2, 17, 64):
+            block = rng.standard_normal((a.shape[1], k))
+            y = pdesolve._coupled(a, block)
+            assert y.shape == (a.shape[0], k)
+            for j in range(k):
+                assert np.array_equal(y[:, j], pdesolve._coupled(a, block[:, j]))
+                assert np.array_equal(y[:, j], a @ block[:, j])
 
     # (n_omega, n_B) of the coupling at n = 127, 129, 255, 511 and 1023 on
     # the reference window; the transpose is the other factor's shape
@@ -421,11 +431,11 @@ class TestCoupling:
     def test_block_column_is_bitwise_its_single_product(self, shape, order):
         rng = np.random.default_rng(shape[0])
         for a in (rng.standard_normal(shape), rng.standard_normal(shape[::-1])):
-            a = np.asarray(a, order=order)
-            for k in (1, 2, 17, 64):
-                block = rng.standard_normal((a.shape[1], k))
-                y = pdesolve._coupled(a, block)
-                assert y.shape == (a.shape[0], k)
-                for j in range(k):
-                    assert np.array_equal(y[:, j], pdesolve._coupled(a, block[:, j]))
-                    assert np.array_equal(y[:, j], a @ block[:, j])
+            self.assert_columns_bitwise(np.asarray(a, order=order), rng)
+
+    # S, C-contiguous, is (n, n_B) at n = 127, 129, 255, 511 and 1023
+    @pytest.mark.parametrize("shape", [(127, 64), (129, 64), (255, 128), (511, 256),
+                                       (1023, 512)])
+    def test_stacked_inverse_column_is_bitwise_its_single_product(self, shape):
+        rng = np.random.default_rng(shape[0])
+        self.assert_columns_bitwise(rng.standard_normal(shape), rng)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from fracctrl import pdesolve
+from fracctrl import fracop, pdesolve
 from fracctrl.control import kkt_residual
 from fracctrl.fracop import Grid, SolverError
 from fracctrl.pdesolve import (
@@ -297,6 +297,14 @@ class TestLinearizedSolver:
         slope = np.polyfit(np.log(eps_grid), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.1
         assert np.all(np.diff(errs) < 0)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Every matrix handed to potrf while the test runs."""
+    made, own = [], pdesolve.cho_factor
+    monkeypatch.setattr(pdesolve, "cho_factor", lambda M: made.append(M) or own(M))
+    return made
 
 
 def step_control(kind, spec, rng):
@@ -595,13 +603,6 @@ class TestSpareBlock:
         StepSolver(smaller, constant_control(smaller.grid, 0.4, smaller.vmin, smaller.vmax))
         assert list(pdesolve._spare) == [(1, 20, 20)]
 
-    @pytest.fixture
-    def factored(self, monkeypatch):
-        """Every matrix handed to potrf while the test runs."""
-        made, own = [], pdesolve.cho_factor
-        monkeypatch.setattr(pdesolve, "cho_factor", lambda M: made.append(M) or own(M))
-        return made
-
     @staticmethod
     def assert_marches_as(steps, fresh, rng):
         n, nt = steps.spec.grid.n, steps.spec.grid.nt
@@ -708,12 +709,6 @@ class TestSchurStepPath:
     the dense reference to round-off, keep the maximum principle exactly and
     keep the block contract bitwise."""
 
-    @pytest.fixture
-    def factored(self, monkeypatch):
-        made, own = [], pdesolve.cho_factor
-        monkeypatch.setattr(pdesolve, "cho_factor", lambda M: made.append(M) or own(M))
-        return made
-
     @staticmethod
     def reference_spec(n, nt, **kw):
         rng = np.random.default_rng(n)
@@ -789,6 +784,26 @@ class TestSchurStepPath:
             else:
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n,outside", [(pdesolve.N_SCHUR, None), (127, None), (255, None),
+                                           (pdesolve.N_SCHUR + 3, 1)])
+    def test_the_sign_structure_is_exact(self, n, outside):
+        # B^-1 >= 0, X^T <= 0 and K's off-diagonal <= 0 hold exactly in
+        # floating point, not only to round-off: every row of S has one sign,
+        # which is what keeps a nonnegative solve exactly nonnegative
+        if outside is None:
+            spec = self.reference_spec(n, 4)
+        else:
+            dx = 2.0 / (n + 1)
+            spec = make_spec(n=n, nt=4, window=(-1.0 + (outside + 0.5) * dx, 1.0))
+        StepSolver(spec, constant_control(spec.grid, 0.4, spec.vmin, spec.vmax))
+        part, n_omega = spec._schur, spec.grid.n_omega
+        n_off = n - n_omega
+        assert outside is None or n_off == outside
+        assert part.S.shape == (n, n_off)
+        assert part.S.flags.c_contiguous and np.array_equal(part.S[n_off:], part.X.T)
+        assert part.S[:n_off].min() >= 0.0 and part.S[n_off:].max() <= 0.0
+        assert part.K[~np.eye(n_omega, dtype=bool)].max() <= 0.0
+
     def test_guards(self):
         # dt = 1/512 on the reference spec: sup 300 puts dt*theta past 1/2
         spec = self.reference_spec(127, 256)
@@ -832,6 +847,79 @@ class TestSchurStepPath:
         got = shifted.march(spec.rho0, f).values
         want = dense_reference_march(spec, v, spec.rho0, f, shift=v.sup)
         assert relative_gap(got, want) <= SCHUR_GAP
+
+
+def signed_zero_control(spec):
+    """Rows of 0.0 and of -0.0: two distinct levels of equal values."""
+    vals = np.zeros((spec.grid.nt, spec.grid.n_omega))
+    vals[::3] = -0.0
+    return ControlField(vals, spec.grid, spec.vmin, spec.vmax)
+
+
+class TestLevelFactors:
+    """A build writes every distinct level's step matrix into its block in
+    one broadcast and factors each in place; on both step paths the factors
+    are bitwise those of each level's matrix factored alone, and a solve
+    takes only a level 1..nt.  Each test starts from an empty spare."""
+
+    @pytest.fixture(autouse=True)
+    def empty_spare(self, monkeypatch):
+        monkeypatch.setattr(pdesolve, "_spare", {})
+
+    @staticmethod
+    def spec_on(path):
+        n = 24 if path == "dense" else 127
+        return make_spec(n=n, nt=8, window=(-0.5, 0.5))
+
+    @staticmethod
+    def factored_alone(steps, row):
+        """The level's matrix on its own, in the Fortran layout potrf
+        overwrites, factored by the same potrf call."""
+        grid, dt = steps.spec.grid, steps.spec.grid.dt
+        if steps._schur is None:
+            M = np.asfortranarray(np.eye(grid.n) + dt * steps.spec.operator.matrix)
+            idx = grid.omega_indices
+        else:
+            M, idx = np.array(steps._schur.K, order="F"), np.arange(grid.n_omega)
+        M[idx, idx] -= dt * row
+        return fracop.cho_factor(M)
+
+    @pytest.mark.parametrize("kind", ["varying", "constant", "blocks", "alternating",
+                                      "signed-zero"])
+    @pytest.mark.parametrize("path", ["dense", "schur"])
+    def test_factors_are_each_level_factored_alone(self, path, kind, factored):
+        rng = np.random.default_rng(87)
+        spec = self.spec_on(path)
+        v = signed_zero_control(spec) if kind == "signed-zero" else step_control(kind, spec, rng)
+        steps = StepSolver(spec, v)
+        assert (steps._schur is None) == (path == "dense")
+        distinct = len({row.tobytes() for row in v.values})
+        # the Schur path's first build also factors B
+        assert len(factored) == distinct + (path == "schur")
+        for level, row in enumerate(v.values, start=1):
+            assert np.array_equal(steps._factors[level - 1], self.factored_alone(steps, row))
+        # a build for the same matrices takes the dead block's factors and
+        # calls no potrf
+        factors = [f.copy() for f in steps._factors]
+        del steps
+        factored.clear()
+        again = StepSolver(spec, v)
+        assert not factored
+        assert all(np.array_equal(a, b) for a, b in zip(again._factors, factors))
+
+    @pytest.mark.parametrize("level", [0, -1, 9, 100])
+    @pytest.mark.parametrize("path", ["dense", "schur"])
+    def test_a_level_outside_one_to_nt_is_refused(self, path, level):
+        spec = self.spec_on(path)
+        steps = StepSolver(spec, random_control(spec, np.random.default_rng(88)))
+        b = np.ones(spec.grid.n)
+        with pytest.raises(ValueError, match=rf"level {level} is outside 1\.\.8"):
+            steps.solve(level, b)
+        # the ends of the range solve their own levels
+        first = dense_reference_march(spec, steps.v, b)[1]
+        last = dense_reference_march(spec, steps.v, b, backward=True)[8]
+        assert relative_gap(steps.solve(1, b), first) <= SCHUR_GAP
+        assert relative_gap(steps.solve(8, b), last) <= SCHUR_GAP
 
 
 class TestFieldContainers:
